@@ -1,7 +1,7 @@
 """Micro-benchmark: overhead of journaled (checkpointed) survey runs.
 
-The run journal records every crawled target (outcome projection plus
-mutated crawler state) with a flushed, checksummed append, so a
+The run journal records every crawled target (its outcome projection)
+with a flushed, checksummed append, so a
 checkpointed survey must stay close to free — crash safety is only
 worth threading through the pipeline if enabling it unconditionally is
 cheap.  This benchmark runs the same survey plain and with a

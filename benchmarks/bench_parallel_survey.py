@@ -1,32 +1,22 @@
-"""Benchmark: the shared-nothing parallel survey and the engine hot path.
+"""Benchmark: the survey's engine hot path.
 
-Two questions, answered in one JSON artifact
-(``BENCH_parallel_survey.json`` at the repo root):
+One question, answered in a JSON artifact
+(``BENCH_parallel_survey.json`` at the repo root): **what did the
+engine hot-path pass buy?**  We time the one-worker survey with the
+optimisations live, then again with each one neutralised — eager
+pattern compilation through the uncached ``compile_pattern``,
+per-insertion keyword re-extraction, per-probe URL re-tokenisation, and
+a cleared privilege memo — which is the code the pass replaced.
 
-1. **How well does the survey parallelise?**  The Section 5 crawl is
-   embarrassingly parallel per target, and its cost on real hardware is
-   the simulated per-target crawl latency (retries, backoff, breaker
-   waits).  We run the same survey at 1/2/4/8 workers, record real
-   wall-clock per count, and compute the *simulated makespan* speedup —
-   total per-unit latency over the slowest round-robin shard's latency
-   — which is what wall-clock converges to on a machine with that many
-   free cores.  (CI runners and this container often pin us to one or
-   two cores, so real wall-clock is recorded but the makespan carries
-   the assertion.)
-
-2. **What did the engine hot-path pass buy serially?**  We time the
-   survey with the optimisations live, then again with each one
-   neutralised — eager pattern compilation through the uncached
-   ``compile_pattern``, per-insertion keyword re-extraction, per-probe
-   URL re-tokenisation, and a cleared privilege memo — which is the
-   code the pass replaced.
+How the survey parallelises is measured by
+``benchmarks/bench_steal_scheduler.py``.
 
 Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_parallel_survey.py -s
 
 Set ``BENCH_QUICK=1`` (the CI smoke job does) for a scaled-down run
-that still emits the JSON but relaxes the speedup assertions, which
+that still emits the JSON but skips the speedup assertion, which
 shared CI runners cannot honour reliably.
 """
 
@@ -39,7 +29,6 @@ import time
 from repro.history.generator import generate_history
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
-from repro.parallel.pool import shard_round_robin
 
 from benchmarks.conftest import BENCH_QUICK, print_block
 
@@ -54,63 +43,19 @@ _CONFIG = SurveyConfig(
     fault_seed=7,
 )
 
-_WORKER_COUNTS = (1, 2, 4, 8)
-
 # Quick mode writes its own artifact: its scaled-down workload is a
-# different benchmark, and the CI perf gate diffs it against the
-# committed quick baseline (BENCH_parallel_survey_quick.json) rather
-# than against the full run's numbers.
+# different benchmark from the full run.
 _RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_parallel_survey_quick.json" if BENCH_QUICK
     else "BENCH_parallel_survey.json")
 
 
-def _unit_latencies(result) -> list[float]:
-    """Per-unit simulated latencies, in global unit order."""
-    latencies = []
-    for outcomes in (result.outcomes, result.outcomes_easylist_only):
-        for group in outcomes.values():
-            latencies.extend(outcome.latency_ms for outcome in group)
-    return latencies
-
-
-def _simulated_speedup(latencies: list[float], workers: int) -> float:
-    """Serial latency total over the slowest round-robin shard's total."""
-    shards = shard_round_robin(latencies, workers)
-    makespan = max(sum(shard) for shard in shards)
-    return sum(latencies) / makespan if makespan else float("inf")
-
-
-def _timed_survey(history, workers: int | None):
+def _timed_survey(history) -> float:
     reset_process_caches()
     start = time.perf_counter()
-    result = run_survey(history, SurveyConfig(
-        top_n=_CONFIG.top_n, stratum_size=_CONFIG.stratum_size,
-        fault_rate=_CONFIG.fault_rate, fault_seed=_CONFIG.fault_seed,
-        workers=workers))
-    return result, time.perf_counter() - start
-
-
-def measure_parallel(history) -> dict:
-    """Wall-clock per worker count plus the simulated makespan model."""
-    wall: dict[str, float] = {}
-    latencies: list[float] = []
-    for workers in _WORKER_COUNTS:
-        result, elapsed = _timed_survey(history, workers)
-        wall[str(workers)] = round(elapsed, 4)
-        if workers == 1:
-            latencies = _unit_latencies(result)
-    return {
-        "targets": _CONFIG.top_n + 3 * _CONFIG.stratum_size,
-        "units": len(latencies),
-        "wall_clock_s": wall,
-        "simulated_latency_total_ms": round(sum(latencies), 3),
-        "simulated_speedup": {
-            str(workers): round(_simulated_speedup(latencies, workers), 3)
-            for workers in _WORKER_COUNTS
-        },
-    }
+    run_survey(history, _CONFIG)
+    return time.perf_counter() - start
 
 
 def _legacy_engine_emulation():
@@ -179,9 +124,9 @@ def measure_engine(history, repeats: int = 2) -> dict:
         return min(fn() for _ in range(repeats))
 
     def optimised() -> float:
-        return _timed_survey(history, None)[1]
+        return _timed_survey(history)
 
-    _timed_survey(history, None)  # warm site profiles etc. for both modes
+    _timed_survey(history)  # warm site profiles etc. for both modes
     optimised_s = best_of(optimised)
     undo = _legacy_engine_emulation()
     try:
@@ -197,7 +142,6 @@ def measure_engine(history, repeats: int = 2) -> dict:
 
 def test_parallel_survey_benchmark():
     history = generate_history(seed=2015, key_bits=_KEY_BITS)
-    parallel = measure_parallel(history)
     engine = measure_engine(history)
     payload = {
         "benchmark": "parallel_survey",
@@ -208,26 +152,17 @@ def test_parallel_survey_benchmark():
             "fault_rate": _CONFIG.fault_rate,
             "fault_seed": _CONFIG.fault_seed,
         },
-        "parallel": parallel,
         "engine": engine,
     }
     with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    sim = parallel["simulated_speedup"]
     print_block(
-        f"parallel survey ({parallel['units']} units): wall-clock "
-        + ", ".join(f"{w}w={parallel['wall_clock_s'][w]:.2f}s"
-                    for w in sorted(parallel['wall_clock_s'], key=int))
-        + f"; simulated speedup 2w={sim['2']}x 4w={sim['4']}x "
-        f"8w={sim['8']}x\n"
         f"engine hot path: optimised {engine['optimised_s']:.2f}s vs "
         f"legacy {engine['legacy_s']:.2f}s = {engine['speedup']}x\n"
         f"results -> {_RESULT_PATH}")
 
-    assert sim["8"] >= 3.0, (
-        f"simulated 8-worker speedup {sim['8']}x below the 3x target")
     if not BENCH_QUICK:
         assert engine["speedup"] >= 1.2, (
             f"engine hot-path speedup {engine['speedup']}x below the "

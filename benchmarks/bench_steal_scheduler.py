@@ -3,25 +3,22 @@
 Three questions, answered in one JSON artifact
 (``BENCH_steal_scheduler.json`` at the repo root):
 
-1. **How well does stealing parallelise?**  The same survey runs under
-   ``--scheduler steal`` at 1/2/4/8 workers; real wall-clock is
-   recorded per count, and the assertion rides on the *simulated
-   makespan* speedup from
+1. **How well does stealing parallelise?**  The same survey runs at
+   1/2/4/8 workers; real wall-clock is recorded per count, and the
+   assertion rides on the *simulated makespan* speedup from
    :func:`repro.parallel.scheduler.simulate_steal_makespan` — a pure
    event model of leases on N free cores, which is what wall-clock
-   converges to on an unloaded machine.  Demand-driven leases beat the
-   round-robin pool's static deal (whose speedup is bounded by its
-   slowest pre-dealt shard), so the 8-worker target here is 7x where
-   the round-robin baseline measures ~6.4x.
+   converges to on an unloaded machine.  The full-scale 8-worker
+   target is 7x.
 
 2. **What does losing a worker cost?**  The makespan model kills 1 of
    8 workers at the no-kill midpoint (lease requeued, no replacement —
    the pessimistic case); the recovered makespan must stay within 1.3x
    of the undisturbed one.
 
-3. **Does a kill schedule change results?**  A real steal run under an
-   injected kill schedule is diffed byte-for-byte against the
-   round-robin reference — the fault-tolerance contract is that it
+3. **Does a kill schedule change results?**  A real four-worker run
+   under an injected kill schedule is diffed byte-for-byte against the
+   one-worker reference — the fault-tolerance contract is that it
    never does.
 
 A lease-size sweep backs the trade-off table in
@@ -43,7 +40,6 @@ import time
 from repro.history.generator import generate_history
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
-from repro.parallel.pool import shard_round_robin
 from repro.parallel.scheduler import simulate_steal_makespan
 from repro.parallel.supervisor import WorkerCrashInjector
 from repro.web.crawlstate import snapshot_outcome
@@ -71,12 +67,12 @@ _RESULT_PATH = os.path.join(
     else "BENCH_steal_scheduler.json")
 
 
-def _survey(history, *, scheduler="steal", workers=1, injector=None):
+def _survey(history, *, workers=1, injector=None):
     reset_process_caches()
     start = time.perf_counter()
     result = run_survey(history, SurveyConfig(
-        **_CONFIG, workers=workers, scheduler=scheduler,
-        lease_size=_LEASE_SIZE, steal_crash_injector=injector))
+        **_CONFIG, workers=workers, lease_size=_LEASE_SIZE,
+        steal_crash_injector=injector))
     return result, time.perf_counter() - start
 
 
@@ -117,11 +113,6 @@ def measure_steal(history) -> tuple[dict, dict]:
         str(workers): round(speedup(simulate_steal_makespan(
             latencies, workers, _LEASE_SIZE)), 3)
         for workers in _WORKER_COUNTS}
-    roundrobin_speedup = {
-        str(workers): round(speedup(max(
-            sum(shard) for shard in shard_round_robin(latencies, workers))),
-            3)
-        for workers in _WORKER_COUNTS}
     sweep = {
         str(lease_size): round(speedup(simulate_steal_makespan(
             latencies, 8, lease_size)), 3)
@@ -135,11 +126,8 @@ def measure_steal(history) -> tuple[dict, dict]:
     # schedule must be byte-identical to the undisturbed reference.
     injector = WorkerCrashInjector(kill_after={0: 2, 1: 5})
     survived, kill_wall = _survey(history, workers=4, injector=injector)
-    shards, _ = _survey(history, scheduler="shards", workers=4)
     assert _canonical(survived) == reference, \
         "kill schedule changed steal results"
-    assert _canonical(shards) == reference, \
-        "steal and round-robin results diverge"
 
     steal = {
         "units": len(latencies),
@@ -147,7 +135,6 @@ def measure_steal(history) -> tuple[dict, dict]:
         "wall_clock_s": wall,
         "simulated_latency_total_ms": round(total, 3),
         "simulated_speedup": steal_speedup,
-        "roundrobin_speedup": roundrobin_speedup,
         "lease_size_speedup_w8": sweep,
     }
     faults = {
@@ -179,8 +166,7 @@ def test_steal_scheduler_benchmark():
         + ", ".join(f"{w}w={steal['wall_clock_s'][w]:.2f}s"
                     for w in sorted(steal['wall_clock_s'], key=int))
         + f"\nsimulated speedup 2w={sim['2']}x 4w={sim['4']}x "
-        f"8w={sim['8']}x (round-robin 8w="
-        f"{steal['roundrobin_speedup']['8']}x)\n"
+        f"8w={sim['8']}x\n"
         f"kill 1-of-8 at midpoint: {faults['kill_recovery_ratio']}x "
         f"no-kill makespan\n"
         f"results -> {_RESULT_PATH}")
@@ -192,8 +178,6 @@ def test_steal_scheduler_benchmark():
     assert sim["8"] >= target, (
         f"simulated 8-worker steal speedup {sim['8']}x below the "
         f"{target}x target")
-    assert float(sim["8"]) >= float(steal["roundrobin_speedup"]["8"]), (
-        "stealing must not balance worse than the static deal")
     assert faults["kill_recovery_ratio"] <= 1.3, (
         f"kill recovery ratio {faults['kill_recovery_ratio']}x exceeds "
         f"the 1.3x budget")

@@ -35,6 +35,25 @@ from repro.measurement.survey import SurveyConfig
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int):
+    """An argparse type accepting integers >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
@@ -103,28 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--max-retries", type=int, default=2,
                         help="retries per target beyond the first "
                              "attempt")
-    survey.add_argument("--workers", type=int, default=None,
+    survey.add_argument("--workers", type=_positive_int, default=1,
                         metavar="N",
-                        help="crawl shared-nothing across N worker "
-                             "processes (results identical for every "
-                             "N; default: classic serial loop)")
-    survey.add_argument("--scheduler", choices=("shards", "steal"),
-                        default="shards",
-                        help="parallel execution strategy: 'shards' "
-                             "pre-deals units round-robin, 'steal' "
-                             "grants bounded leases on demand with "
-                             "worker supervision and crash recovery "
-                             "(results identical either way)")
-    survey.add_argument("--lease-size", type=int, default=4,
+                        help="crawl across N processes: 1 (default) "
+                             "crawls inline, N > 1 leases targets to N "
+                             "supervised forked workers; results are "
+                             "identical for every N")
+    survey.add_argument("--lease-size", type=_positive_int, default=4,
                         metavar="K",
-                        help="units per lease for --scheduler steal "
-                             "(default 4; smaller = finer stealing, "
-                             "more dispatch overhead)")
-    survey.add_argument("--max-worker-restarts", type=int, default=4,
-                        metavar="N",
-                        help="replacement workers the steal scheduler "
-                             "may fork across the whole run before "
-                             "giving up (default 4)")
+                        help="targets per worker lease (default 4; "
+                             "smaller = finer stealing, more dispatch "
+                             "overhead)")
+    survey.add_argument("--max-worker-restarts", type=_non_negative_int,
+                        default=4, metavar="N",
+                        help="replacement workers that may be forked "
+                             "across the whole run before giving up "
+                             "(default 4)")
 
     parking = add("parking", "Table 3 zone scan")
     parking.add_argument("--divisor", type=int, default=5_000,
@@ -288,8 +301,7 @@ def _study(args) -> AcceptableAdsStudy:
             fault_rate=getattr(args, "fault_rate", 0.0),
             fault_seed=getattr(args, "fault_seed", 0),
             max_retries=getattr(args, "max_retries", 2),
-            workers=getattr(args, "workers", None),
-            scheduler=getattr(args, "scheduler", "shards"),
+            workers=getattr(args, "workers", 1),
             lease_size=getattr(args, "lease_size", 4),
             max_worker_restarts=getattr(
                 args, "max_worker_restarts", 4)),
@@ -368,10 +380,6 @@ def _cmd_survey(args, out) -> int:
                                          table4_top_filters)
     from repro.reporting.tables import render_crawl_health, render_table
 
-    if (getattr(args, "scheduler", "shards") == "steal"
-            and getattr(args, "workers", None) is None):
-        out.write("error: --scheduler steal requires --workers N\n")
-        return 2
     study = _study(args)
     result = study.site_survey
     head = section51_headline(result.top5k)
@@ -966,8 +974,8 @@ _COMMANDS = {
 #: paths change *how* a run executes, never *what* it computes, so two
 #: invocations differing only in these share a run ID (the property the
 #: cross-worker trace-identity guarantee hangs off).
-_RUN_ID_EXCLUDE = {"workers", "scheduler", "lease_size",
-                   "max_worker_restarts", "checkpoint", "resume",
+_RUN_ID_EXCLUDE = {"workers", "lease_size", "max_worker_restarts",
+                   "checkpoint", "resume",
                    "metrics_out", "trace", "timeseries_out",
                    "timeseries_interval", "flight_out",
                    "flight_capacity"}
@@ -1016,6 +1024,8 @@ def _open_checkpoint(args, out):
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
+    from repro.state import CheckpointError
+
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
     command = _COMMANDS[args.command]
@@ -1083,6 +1093,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return status
         finally:
             restore_usr2()
+    except CheckpointError as exc:
+        # A resume the journal cannot honour (e.g. a scope journaled
+        # under a different configuration) is a refusal, not a crash.
+        out.write(f"error: {exc}\n")
+        return 2
     finally:
         if checkpoint is not None:
             checkpoint.close()

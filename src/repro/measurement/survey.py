@@ -31,9 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.history.generator import WhitelistHistory
 from repro.measurement.samples import SampleGroup, build_samples
 from repro.parallel.scheduler import run_stealing_survey
-from repro.parallel.survey import run_sharded_survey
 from repro.state.checkpoint import Checkpoint
-from repro.web.crawlstate import journaled_survey
 from repro.web.crawler import (
     Crawler,
     CrawlHealth,
@@ -64,28 +62,19 @@ class SurveyConfig:
     default ``fault_rate=0.0`` the resilient pipeline is a clean
     pass-through and results match the bare crawler exactly.
 
-    ``workers`` selects the execution model.  ``None`` (default) is the
-    classic serial loop threading one rng/breaker registry through the
-    crawl in target order.  Any integer >= 1 selects *shared-nothing*
-    execution (:mod:`repro.parallel.survey`): each target gets a
-    derived rng and fresh breaker, and targets are sharded across that
-    many worker processes.  Shared-nothing results are byte-identical
-    across all ``workers`` values (and match the serial loop whenever
-    ``fault_rate == 0``, where the rng and breakers are never
-    consulted); checkpoints resume across worker-count changes but not
-    across execution models.
-
-    ``scheduler`` picks the shared-nothing executor: ``"shards"`` (the
-    PR-4 pre-dealt round-robin pool, any worker failure fatal) or
-    ``"steal"`` (the supervised work-stealing scheduler of
-    :mod:`repro.parallel.scheduler` — lease recovery from dead workers,
-    poison-unit quarantine, streaming backpressure).  Both produce
-    byte-identical results and share one checkpoint fingerprint, so a
-    resume may switch schedulers freely.  ``lease_size`` and
-    ``max_worker_restarts`` tune the steal scheduler only.
+    ``workers`` is how many processes crawl; it never changes a
+    result.  Every target runs *shared-nothing* under
+    :func:`~repro.parallel.scheduler.run_stealing_survey`: it gets a
+    derived rng and a fresh breaker, so outcomes, exports and
+    checkpoints are byte-identical for every ``workers`` value.  At the
+    default ``workers=1`` targets are crawled inline, with no fork;
+    above it they are leased to that many supervised worker processes
+    that recover from worker deaths.  ``lease_size`` (units per lease)
+    and ``max_worker_restarts`` tune that supervision.
     ``steal_crash_injector`` is the deterministic worker-death harness
-    (tests/benchmarks); like ``workers`` it never enters the
-    fingerprint — a kill schedule is not a result.
+    (tests/benchmarks).  None of these enter the checkpoint fingerprint
+    — execution placement and a kill schedule are not results — so a
+    resume may change them freely.
     """
 
     top_n: int = 5_000
@@ -95,8 +84,7 @@ class SurveyConfig:
     fault_rate: float = 0.0
     fault_seed: int = 0
     max_retries: int = 2
-    workers: int | None = None
-    scheduler: str = "shards"
+    workers: int = 1
     lease_size: int = 4
     max_worker_restarts: int = 4
     steal_crash_injector: object | None = None
@@ -208,22 +196,20 @@ def make_profile_factory(history: "WhitelistHistory"):
 def _survey_fingerprint(config: SurveyConfig, engine_config: str) -> dict:
     """The scope configuration a survey checkpoint is pinned to.
 
-    The shared-nothing path adds an ``execution`` marker: its journals
-    are *not* resumable by the serial loop (and vice versa) because the
-    two models draw backoff jitter differently.  The worker *count* is
-    deliberately absent — shared-nothing results are independent of it,
-    so a resume may change it freely.
+    The ``execution`` marker is constant.  It sets these journals apart
+    from those of the retired serial loop, which drew backoff jitter
+    from one shared stream and so cannot be resumed shared-nothing.
+    The worker count is deliberately absent: results are independent of
+    it, so a resume may change it freely.
     """
-    fingerprint = {"engine_config": engine_config,
-                   "top_n": config.top_n,
-                   "stratum_size": config.stratum_size,
-                   "with_whitelist": config.with_whitelist,
-                   "fault_rate": config.fault_rate,
-                   "fault_seed": config.fault_seed,
-                   "max_retries": config.max_retries}
-    if config.workers is not None:
-        fingerprint["execution"] = "shared-nothing"
-    return fingerprint
+    return {"engine_config": engine_config,
+            "top_n": config.top_n,
+            "stratum_size": config.stratum_size,
+            "with_whitelist": config.with_whitelist,
+            "fault_rate": config.fault_rate,
+            "fault_seed": config.fault_seed,
+            "max_retries": config.max_retries,
+            "execution": "shared-nothing"}
 
 
 def run_survey(history: "WhitelistHistory",
@@ -241,9 +227,6 @@ def run_survey(history: "WhitelistHistory",
     closes it, and crash-shaped exceptions propagate.
     """
     config = config or SurveyConfig()
-    if config.scheduler not in ("shards", "steal"):
-        raise ValueError(f"unknown scheduler {config.scheduler!r}; "
-                         f"expected 'shards' or 'steal'")
     tracer = OBS.tracer
     with tracer.span("survey.run", top_n=config.top_n,
                      stratum_size=config.stratum_size,
@@ -284,67 +267,21 @@ def run_survey(history: "WhitelistHistory",
         def crawl_config(crawler_factory, engine_config: str,
                          outcomes_by_group: dict, records_by_group: dict
                          ) -> None:
-            if config.workers is not None:
-                # No ``workers`` attr: the merged trace is defined to be
-                # byte-identical for every worker count, so execution
-                # placement must not leak into span attributes.  The
-                # span (and the fingerprint) are also identical across
-                # schedulers — the two executors are interchangeable
-                # views of the same result.
-                with tracer.span("survey.crawl.parallel",
-                                 config=engine_config):
-                    if config.scheduler == "steal":
-                        surveyed = run_stealing_survey(
-                            groups, crawler_factory=crawler_factory,
-                            workers=config.workers,
-                            jitter_seed=config.fault_seed,
-                            checkpoint=checkpoint,
-                            scope=f"survey/{engine_config}",
-                            scope_config=_survey_fingerprint(
-                                config, engine_config),
-                            lease_size=config.lease_size,
-                            max_worker_restarts=config.max_worker_restarts,
-                            crash_injector=config.steal_crash_injector)
-                    else:
-                        surveyed = run_sharded_survey(
-                            groups, crawler_factory=crawler_factory,
-                            workers=config.workers,
-                            jitter_seed=config.fault_seed,
-                            checkpoint=checkpoint,
-                            scope=f"survey/{engine_config}",
-                            scope_config=_survey_fingerprint(
-                                config, engine_config))
-                for group in groups:
-                    outcomes = surveyed[group.name]
-                    outcomes_by_group[group.name] = outcomes
-                    records_by_group[group.name] = [
-                        o.record for o in outcomes if o.record is not None]
-                return
-            crawler = crawler_factory()
-            if checkpoint is None:
-                from repro.obs import ProgressTracker
-                progress = (ProgressTracker(
-                    f"survey/{engine_config}",
-                    sum(len(g.targets) for g in groups))
-                    if OBS.registry.enabled or OBS.timeseries.enabled
-                    else None)
-                for group in groups:
-                    with tracer.span("survey.crawl", group=group.name,
-                                     config=engine_config):
-                        outcomes = crawler.survey(group.targets)
-                    outcomes_by_group[group.name] = outcomes
-                    records_by_group[group.name] = [
-                        o.record for o in outcomes if o.record is not None]
-                    if progress is not None:
-                        for outcome in outcomes:
-                            progress.step(outcome.latency_ms)
-                return
-            surveyed = journaled_survey(
-                crawler, groups, checkpoint=checkpoint,
-                scope=f"survey/{engine_config}",
-                scope_config=_survey_fingerprint(config, engine_config),
-                span_factory=lambda name: tracer.span(
-                    "survey.crawl", group=name, config=engine_config))
+            # No ``workers`` attr: the merged trace is defined to be
+            # byte-identical for every worker count, so execution
+            # placement must not leak into span attributes.
+            with tracer.span("survey.crawl.parallel",
+                             config=engine_config):
+                surveyed = run_stealing_survey(
+                    groups, crawler_factory=crawler_factory,
+                    workers=config.workers,
+                    jitter_seed=config.fault_seed,
+                    checkpoint=checkpoint,
+                    scope=f"survey/{engine_config}",
+                    scope_config=_survey_fingerprint(config, engine_config),
+                    lease_size=config.lease_size,
+                    max_worker_restarts=config.max_worker_restarts,
+                    crash_injector=config.steal_crash_injector)
             for group in groups:
                 outcomes = surveyed[group.name]
                 outcomes_by_group[group.name] = outcomes

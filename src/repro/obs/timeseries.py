@@ -18,7 +18,7 @@ the byte-identity contract intact:
   accumulated in global unit order — the same order metric snapshots
   are merged in.  Tick boundaries are therefore a pure function of the
   workload, so the main time-series export is **byte-identical at any
-  worker count and under either scheduler**.
+  worker count**.
 * **Wall clock** (:meth:`TimeSeriesSampler.sample_wall`): ``repro
   serve`` has no simulated clock, so a background
   :class:`WallClockTicker` thread samples on real elapsed time.  Those
@@ -254,9 +254,9 @@ class ProgressTracker:
 
     and advances ``OBS.timeseries`` by each unit's simulated latency.
     All arithmetic is per-unit floats accumulated in the caller's merge
-    order, which every execution path (serial, shard pool, stealing
-    scheduler) performs in global unit order — the byte-identity
-    contract's load-bearing detail.
+    order, which the survey executor performs in global unit order at
+    every worker count — the byte-identity contract's load-bearing
+    detail.
 
     ``done`` may start nonzero for resumed runs (restored units are
     counted as done but contribute no simulated time, mirroring how

@@ -160,7 +160,7 @@ class Tracer:
         """Graft exported span records into this tracer as finished spans.
 
         ``records`` are :func:`repro.obs.export.span_records` dicts —
-        typically a crawl unit's span shard sent home by a pool worker.
+        typically a crawl unit's span shard sent home by a survey worker.
         Their IDs, depths, and timings are taken verbatim (they were
         derived under this tracer's own span context, so they already
         cohere with the live tree); transport-only keys (``worker``)

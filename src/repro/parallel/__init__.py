@@ -5,33 +5,30 @@ parallelism would destroy the repo's core guarantee: byte-identical
 results for a given seed.  This subpackage provides parallelism that
 *keeps* the guarantee:
 
-* :mod:`repro.parallel.pool` — :class:`~repro.parallel.pool.WorkPool`,
-  a fork-based per-shard worker pool with an inline sequential
-  fallback, plus round-robin sharding;
 * :mod:`repro.parallel.rng` — pure per-unit RNG derivation, so no unit's
   randomness depends on execution order;
 * :mod:`repro.parallel.caches` — a registry of process-local
   ``lru_cache`` tables cleared across ``fork`` (bounded per-worker
   memory, per-worker cache statistics);
-* :mod:`repro.parallel.survey` — the sharded survey executor: shard
-  journals that merge into the standard checkpoint format, ordered
-  metric-snapshot merging, resume across worker-count changes;
 * :mod:`repro.parallel.leases` — bounded work leases and the
   dispatcher-side :class:`~repro.parallel.leases.LeaseLedger`;
 * :mod:`repro.parallel.supervisor` — worker lifecycle: spawn, heartbeat
   deadlines, exit reaping, restart budget, deterministic
   :class:`~repro.parallel.supervisor.WorkerCrashInjector`;
-* :mod:`repro.parallel.scheduler` — the supervised work-stealing
-  executor (``--scheduler steal``): lease recovery from dead/wedged
-  workers, poison-unit quarantine, streaming in-order flush with
-  backpressure.
+* :mod:`repro.parallel.scheduler` — the survey executor: inline at one
+  worker, supervised work stealing across forked workers otherwise,
+  with lease recovery from dead/wedged workers, poison-unit quarantine,
+  shard journals that merge into the standard checkpoint format, and
+  streaming in-order flush with backpressure;
+* :mod:`repro.parallel.survey` — ``run_sharded_survey``, an alias of
+  the scheduler kept for tooling that resolves the old name.
 
 Import note: this ``__init__`` re-exports only the dependency-free core
-(pool, rng, caches, leases, supervisor).  :mod:`repro.parallel.survey`
-and :mod:`repro.parallel.scheduler` import the web and state layers —
-and those layers import :mod:`repro.parallel.caches` — so the executors
-are imported explicitly (``from repro.parallel.scheduler import
-run_stealing_survey``) to keep the import graph acyclic.
+(rng, caches, leases, supervisor).  :mod:`repro.parallel.scheduler`
+imports the web and state layers — and those layers import
+:mod:`repro.parallel.caches` — so the executor is imported explicitly
+(``from repro.parallel.scheduler import run_stealing_survey``) to keep
+the import graph acyclic.
 """
 
 from repro.parallel.caches import (
@@ -41,7 +38,6 @@ from repro.parallel.caches import (
     reset_process_caches,
 )
 from repro.parallel.leases import Lease, LeaseLedger, generate_leases
-from repro.parallel.pool import WorkerError, WorkPool, shard_round_robin
 from repro.parallel.rng import derive_rng, derive_seed
 from repro.parallel.supervisor import (
     POISON_EXIT_CODE,
@@ -51,9 +47,6 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "WorkPool",
-    "WorkerError",
-    "shard_round_robin",
     "derive_seed",
     "derive_rng",
     "register_process_cache",

@@ -1,9 +1,9 @@
 """Bounded work leases for the supervised work-stealing scheduler.
 
-The round-robin pool (:mod:`repro.parallel.pool`) pre-deals the whole
-unit list before any worker starts, so a straggler — or a dead worker —
-owns a fixed 1/N of the run forever.  The work-stealing scheduler
-(:mod:`repro.parallel.scheduler`) instead hands out **leases**: small
+Pre-dealing the whole unit list before any worker starts would leave a
+straggler — or a dead worker — owning a fixed 1/N of the run forever.
+The work-stealing scheduler (:mod:`repro.parallel.scheduler`) instead
+hands out **leases**: small
 batches of globally-indexed units granted to one worker at a time.  A
 lease is the unit of both load balancing (a slow worker simply claims
 fewer leases) and failure recovery (a dead worker forfeits exactly its
@@ -12,7 +12,7 @@ outstanding lease, nothing more).
 Two pieces live here:
 
 * :func:`generate_leases` — the pure batching function, shared by the
-  scheduler's inline fallback and its deterministic makespan model;
+  scheduler's inline path and its deterministic makespan model;
 * :class:`LeaseLedger` — the dispatcher's bookkeeping of which lease is
   where, which of its units have reported results, and what a
   revocation must therefore requeue.
@@ -47,8 +47,7 @@ def generate_leases(indices: Sequence[int],
     Leases preserve the input order — the scheduler always feeds the
     lowest pending indices first, so grants stay close to the in-order
     flush frontier and the reorder buffer stays small.  Zero items mean
-    zero leases (mirroring ``shard_round_robin``'s empty-input
-    contract):
+    zero leases, for any ``lease_size``:
 
     >>> [lease.indices for lease in generate_leases([0, 1, 2, 3, 4], 2)]
     [(0, 1), (2, 3), (4,)]

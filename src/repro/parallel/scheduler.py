@@ -1,41 +1,72 @@
-"""The supervised work-stealing survey scheduler.
+"""The survey executor: supervised, shared-nothing work stealing.
 
-:func:`run_stealing_survey` is the fault-tolerant counterpart of
-:func:`repro.parallel.survey.run_sharded_survey`.  Instead of
-pre-dealing the unit list round-robin (one fixed shard per worker, any
-failure fatal), the parent *dispatches*: it grants bounded *leases*
-(:mod:`repro.parallel.leases`) of the lowest pending unit indices to
-whichever worker is idle; a :class:`~repro.parallel.supervisor.Supervisor`
-watches every worker's wall-clock heartbeat and exit status; and a dead
-or wedged worker forfeits exactly its outstanding lease — the lost
-units are requeued and *stolen* by the survivors while a replacement is
-forked, up to a restart budget.
+:func:`run_stealing_survey` is the one way the Section 5 crawl runs.
+It flattens a survey's sample groups into one globally ordered unit
+list and executes every unit *shared-nothing*:
 
-**Determinism.**  Results stay byte-identical to the round-robin pool —
-and therefore to a one-worker run — for any worker count *and any kill
-schedule*, because every unit executes under the PR-4 shared-nothing
-invariants (derived per-unit rng, fresh breaker, rewound simulated
-clock; see :func:`repro.parallel.survey._crawl_units`) and the parent
-folds results in global unit order.  A unit that dies with its worker
-is simply re-crawled elsewhere: same derivation, same bytes.
+* its backoff jitter comes from an RNG derived purely from
+  ``(fault_seed, "crawl-jitter", domain, rank)`` (see
+  :mod:`repro.parallel.rng`), not from a stream shared with earlier
+  targets;
+* it gets a fresh circuit breaker (survey domains are distinct, so no
+  cross-target breaker state is lost);
+* its simulated clock is rewound to zero, so each unit's latency is an
+  exact float sum from ``t=0`` rather than a difference between two
+  large accumulated clock positions;
+* outcomes round-trip through the checkpoint snapshot codec before
+  merging, so a live result and a journal-restored one are the same
+  object shape down to the byte.
+
+With ``workers=1`` (or a single pending unit, or no ``fork`` support)
+leases run inline in the calling process.  Otherwise the parent
+*dispatches*: it grants bounded *leases* (:mod:`repro.parallel.leases`)
+of the lowest pending unit indices to whichever forked worker is idle;
+a :class:`~repro.parallel.supervisor.Supervisor` watches every worker's
+wall-clock heartbeat and exit status; and a dead or wedged worker
+forfeits exactly its outstanding lease — the lost units are requeued
+and *stolen* by the survivors while a replacement is forked, up to a
+restart budget.
+
+**Determinism.**  Results are byte-identical for any worker count *and
+any kill schedule*, because every unit executes under the invariants
+above and the parent folds results in global unit order.  A unit that
+dies with its worker is simply re-crawled elsewhere: same derivation,
+same bytes.
+
+**Engine sharing.**  The parent's engine is frozen before any fork, so
+each worker inherits the compiled filter indexes
+(:mod:`repro.filters.compiled`) as read-only copy-on-write pages that
+stay physically shared for the lifetime of the run.
 
 **Quarantine.**  A unit whose execution kills ``poison_threshold``
 workers (default two) is not retried forever: it is *quarantined* as an
 explicit failed outcome with ``error_class="worker-poison"`` —
-mirroring the PR-1 rule that every target yields an outcome, never an
-exception.  Strikes survive parent crashes via the lease log
-(:mod:`repro.state.leaselog`), a supervision side-journal that never
-touches the main checkpoint.
+every target yields an outcome, never an exception.  Strikes survive
+parent crashes via the lease log (:mod:`repro.state.leaselog`), a
+supervision side-journal that never touches the main checkpoint.  The
+inline path has no workers to supervise and opens no lease log.
 
-**Streaming + backpressure.**  Workers journal each completed unit to a
-per-incarnation shard journal (the crash-safe PR-3/PR-4 format, adopted
-on resume) and stream it home over the pipe; the parent flushes results
-into the main checkpoint *in global index order* as the frontier
-completes, holding only out-of-order completions in a reorder buffer.
-When the buffer reaches ``max_backlog``, new leases are deferred —
-except the lease containing the flush frontier, so the drain can never
-deadlock.  That bound is what keeps a million-unit run in constant
-parent memory.
+**Durability + backpressure.**  Forked workers journal each completed
+unit to a per-incarnation *shard journal* (``<checkpoint>.shardNNN``,
+the checksummed journal format, each record tagged with the unit's
+global index) and stream it home over the pipe; the parent flushes
+results into the main checkpoint *in global index order* as the
+frontier completes, holding only out-of-order completions in a reorder
+buffer.  When the buffer reaches ``max_backlog``, new leases are
+deferred — except the lease containing the flush frontier, so the
+drain can never deadlock.  That bound is what keeps a million-unit run
+in constant parent memory.  On resume, leftover shard journals from a
+crashed run are *adopted* into the checkpoint first, so resuming with a
+different worker count Just Works.
+
+**Metrics and traces.**  Each unit is crawled under a private
+:class:`~repro.obs.metrics.MetricsRegistry` and a private
+:class:`~repro.obs.trace.Tracer` rooted at the parent's enclosing span
+(span IDs namespaced by global unit index — see :mod:`repro.obs.ids`)
+and timed on the unit's simulated clock.  Their snapshots travel home
+with the outcome and the parent merges them in global unit order, so
+``--metrics-out`` and ``--trace`` exports are byte-identical for every
+worker count.
 
 **Telemetry.**  Lease grants, steals, deaths, timeouts, and quarantines
 describe execution placement, not results, so they never enter the
@@ -56,20 +87,24 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Callable, Sequence
 
-from repro.obs import NULL_TRACER, OBS, ProgressTracker, Tracer
-from repro.parallel.leases import LeaseLedger, generate_leases
-from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
-from repro.parallel.survey import (
-    _crawl_units,
-    adopt_shard_journals,
-    shard_journal_path,
+from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACER,
+    OBS,
+    MetricsRegistry,
+    ProgressTracker,
+    Tracer,
 )
+from repro.parallel.leases import LeaseLedger, generate_leases
+from repro.parallel.rng import derive_rng
+from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
 from repro.state.checkpoint import Checkpoint
-from repro.state.journal import RunJournal
+from repro.state.journal import JournalError, RunJournal, replay_journal
 from repro.state.leaselog import (LeaseLog, discard_lease_log,
                                   read_lease_strikes)
 from repro.web.crawler import Crawler, CrawlOutcome, CrawlStatus, CrawlTarget
 from repro.web.crawlstate import restore_outcome, snapshot_outcome, unit_key
+from repro.web.resilience import CircuitBreaker
 
 __all__ = [
     "run_stealing_survey",
@@ -77,6 +112,9 @@ __all__ = [
     "SchedulerError",
     "POISONED_ERROR_CLASS",
     "simulate_steal_makespan",
+    "adopt_shard_journals",
+    "shard_journal_path",
+    "list_shard_journals",
 ]
 
 #: ``CrawlOutcome.error_class`` of a quarantined (poisoned) unit.
@@ -202,6 +240,138 @@ def simulate_steal_makespan(latencies: Sequence[float], workers: int,
     return makespan
 
 
+#: Purpose label mixed into every derived per-unit rng seed.
+_JITTER_LABEL = "crawl-jitter"
+
+_SHARD_SUFFIX = ".shard"
+
+
+# -- shard journals --------------------------------------------------------
+
+def shard_journal_path(checkpoint_path: str, shard_index: int) -> str:
+    """Where shard ``shard_index`` journals its completed units."""
+    return f"{checkpoint_path}{_SHARD_SUFFIX}{shard_index:03d}"
+
+
+def list_shard_journals(checkpoint_path: str) -> list[str]:
+    """Existing shard journal files next to ``checkpoint_path``, sorted."""
+    directory = os.path.dirname(checkpoint_path) or "."
+    prefix = os.path.basename(checkpoint_path) + _SHARD_SUFFIX
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return sorted(
+        os.path.join(directory, name) for name in names
+        if name.startswith(prefix) and name[len(prefix):].isdigit())
+
+
+def adopt_shard_journals(checkpoint: Checkpoint, scope: str) -> int:
+    """Fold leftover shard journals from a crashed run into ``checkpoint``.
+
+    Units are adopted in global-index order so the main journal reads
+    exactly as if the crashed run had merged them itself; units the
+    checkpoint already has (the crash hit mid-merge) are skipped.  A
+    shard file is deleted once it holds nothing belonging to another
+    scope; an unreadable (corrupt) shard is discarded — its units are
+    simply re-crawled, deterministically.
+
+    Returns the number of units adopted.
+    """
+    adopted = 0
+    for path in list_shard_journals(checkpoint.path):
+        try:
+            records, _truncated = replay_journal(path)
+        except JournalError:
+            records = []
+        units = [record for record in records
+                 if record.get("kind") == "unit"]
+        mine = sorted((unit for unit in units if unit["scope"] == scope),
+                      key=lambda unit: unit["index"])
+        for unit in mine:
+            if not checkpoint.is_done(scope, unit["key"]):
+                checkpoint.record(scope, unit["key"], unit["payload"])
+                adopted += 1
+        if all(unit["scope"] == scope for unit in units):
+            os.remove(path)
+    if adopted:
+        checkpoint.sync()
+    return adopted
+
+
+# -- per-unit shared-nothing execution -------------------------------------
+
+def _crawl_units(crawler: Crawler,
+                 units: Sequence[tuple[int, str, CrawlTarget]],
+                 *, jitter_seed: int, collect_metrics: bool,
+                 collect_spans: bool, trace_context: tuple[str, int],
+                 record_unit: Callable[[int, str, dict], None]) -> list:
+    """Crawl ``units`` shared-nothing; return mergeable result tuples.
+
+    Each returned tuple is ``(index, key, payload, metrics, spans)``
+    where ``payload`` is the checkpoint unit payload, ``metrics`` is
+    the unit's registry snapshot (``None`` with metrics off), and
+    ``spans`` is the unit's span-record shard (``None`` with tracing
+    off).
+
+    ``trace_context`` is ``(parent_span_id, depth)`` of the parent
+    process's enclosing span: each unit's private tracer is rooted
+    there, with the unit's global index as its root ordinal namespace,
+    so its span IDs come out identical no matter which worker runs it.
+    """
+    from repro.obs.export import span_records
+
+    trace_parent, trace_depth = trace_context
+    results = []
+    for index, group_name, target in units:
+        rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain,
+                         target.rank)
+        breaker = CircuitBreaker()
+        # Latencies are clock *deltas*; rewinding to zero per unit makes
+        # them exact sums from t=0, independent of what earlier units on
+        # this worker consumed (float addition is not associative).
+        crawler.clock.rewind()
+        metrics = None
+        spans = None
+        if OBS.enabled:
+            previous = (OBS.registry, OBS.tracer, OBS.enabled)
+            registry = MetricsRegistry() if collect_metrics else NULL_REGISTRY
+            # The unit tracer runs on the unit's simulated clock: its
+            # readings (and so the exported spans) are deterministic,
+            # unlike wall time, which is what byte-identity across
+            # worker counts requires.
+            tracer = (Tracer(clock=crawler.clock.now,
+                             root_parent_id=trace_parent,
+                             root_depth=trace_depth,
+                             root_ordinal_ns=f"{index}:")
+                      if collect_spans else NULL_TRACER)
+            OBS.registry = registry
+            OBS.tracer = tracer
+            OBS.enabled = registry.enabled or tracer.enabled
+            try:
+                outcome = crawler.visit_target(target, rng=rng,
+                                               breaker=breaker,
+                                               unit=index)
+            finally:
+                OBS.registry, OBS.tracer, OBS.enabled = previous
+            if collect_metrics:
+                metrics = registry.snapshot()
+            if collect_spans:
+                spans = span_records(tracer)
+        else:
+            outcome = crawler.visit_target(target, rng=rng, breaker=breaker)
+        key = unit_key(group_name, target)
+        # ``state`` is always empty (shared-nothing units carry no
+        # cross-visit state); it stays so journal bytes keep their
+        # established format.
+        payload = {"group": group_name,
+                   "outcome": snapshot_outcome(outcome),
+                   "state": {}}
+        record_unit(index, key, payload)
+        results.append((index, key, payload, metrics, spans))
+    return results
+
+
 # -- the scheduler ---------------------------------------------------------
 
 def _poisoned_payload(group_name: str, target: CrawlTarget, *,
@@ -230,15 +400,18 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                         crash_injector: WorkerCrashInjector | None = None,
                         stats: StealStats | None = None,
                         ) -> dict[str, list[CrawlOutcome]]:
-    """Crawl ``groups`` under the supervised work-stealing scheduler.
+    """Crawl ``groups`` shared-nothing across ``workers`` processes.
 
-    Same contract as
-    :func:`~repro.parallel.survey.run_sharded_survey` — byte-identical
-    outcomes for every ``workers`` value, checkpoint resume across
-    worker counts *and across schedulers* — plus fault tolerance: a
-    worker death or wedge costs only time, and a unit that kills
-    ``poison_threshold`` workers is retired as an explicit ``failed``
-    outcome instead of retried forever.
+    ``crawler_factory`` must build an equivalent crawler on every call
+    (each worker constructs its own); ``jitter_seed`` roots the
+    per-unit rng derivation and should be the survey's ``fault_seed``.
+    With a ``checkpoint``, completed units are restored instead of
+    re-crawled and new ones are journaled crash-safely, and a resume
+    may change ``workers`` freely.  Returns outcomes per group, in
+    target order — byte-identical for every ``workers`` value and every
+    kill schedule: a worker death or wedge costs only time, and a unit
+    that kills ``poison_threshold`` workers is retired as an explicit
+    ``failed`` outcome instead of retried forever.
 
     ``crash_injector`` deterministically kills or wedges workers (the
     test/benchmark harness); it only acts on the forked path.
@@ -332,14 +505,21 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         """The lowest not-yet-flushed global index."""
         return pending[cursor] if cursor < len(pending) else None
 
-    lease_log: LeaseLog | None = None
-    if checkpoint_path is not None:
-        if pending:
-            lease_log = LeaseLog.start(checkpoint_path, scope)
-        else:
-            # Everything restored: nothing to supervise, but a crashed
-            # predecessor may have left its (now pointless) lease log.
-            discard_lease_log(checkpoint_path, scope)
+    # Units the crashed run already condemned start condemned: strikes
+    # live in the synced lease log, so a poison unit never gets to kill
+    # two fresh workers per resume.
+    pre_quarantined = sorted(
+        index for index in pending
+        if index in seeded_quarantine
+        or strikes.get(index, 0) >= poison_threshold)
+    condemned = set(pre_quarantined)
+    grantable = [index for index in pending if index not in condemned]
+    forked = (workers > 1 and len(grantable) > 1
+              and "fork" in multiprocessing.get_all_start_methods())
+
+    # Only forked runs have workers whose deaths need a durable record.
+    lease_log = (LeaseLog.start(checkpoint_path, scope)
+                 if checkpoint_path is not None and forked else None)
 
     def quarantine(index: int) -> None:
         _, group_name, target = unit_by_index[index]
@@ -352,21 +532,10 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         if lease_log is not None:
             lease_log.quarantine(index)
 
-    # Units the crashed run already condemned start condemned: strikes
-    # live in the synced lease log, so a poison unit never gets to kill
-    # two fresh workers per resume.
-    pre_quarantined = sorted(
-        index for index in pending
-        if index in seeded_quarantine
-        or strikes.get(index, 0) >= poison_threshold)
     for index in pre_quarantined:
         quarantine(index)
 
-    grantable = [index for index in pending
-                 if index not in set(pre_quarantined)]
-    fork_usable = "fork" in multiprocessing.get_all_start_methods()
-
-    # -- inline fallback ---------------------------------------------------
+    # -- the inline path ---------------------------------------------------
     def run_inline() -> None:
         """One worker (or no fork support): leases run in-process.
 
@@ -623,21 +792,19 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         return supervisor
 
     try:
-        if not grantable:
-            flush()  # restored and pre-quarantined units only
-        elif workers == 1 or len(grantable) == 1 or not fork_usable:
-            run_inline()
-            flush()
-        else:
+        if forked:
             supervisor = run_forked()
             # A clean finish leaves no supervision residue: every unit
             # in the per-incarnation shard journals was flushed into
-            # the checkpoint, exactly like the round-robin pool's.
+            # the checkpoint.
             if checkpoint_path is not None:
                 for incarnation in range(supervisor.incarnations_spawned):
                     path = shard_journal_path(checkpoint_path, incarnation)
                     if os.path.exists(path):
                         os.remove(path)
+        elif grantable:
+            run_inline()
+        flush()  # restored and quarantined units past the last lease
     except BaseException:
         # Crash path: keep the lease log and every shard journal — the
         # resumed run adopts them.  (Workers are already reaped; the
@@ -650,6 +817,10 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         checkpoint.sync()
     if lease_log is not None:
         lease_log.remove()
+    elif checkpoint_path is not None:
+        # Nothing was supervised, but a crashed forked predecessor may
+        # have left its (now pointless) lease log.
+        discard_lease_log(checkpoint_path, scope)
     stats.publish()
 
     outcomes_by_group: dict[str, list[CrawlOutcome]] = {

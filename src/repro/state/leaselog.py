@@ -22,7 +22,7 @@ per-unit strike counts and already-quarantined units for one scope, so
 the scheduler starts exactly as suspicious as the crashed run ended.
 The log is deleted when its scope's scheduling completes — a finished
 checkpoint carries no supervision residue, keeping it byte-identical
-to a serial run's.
+to a one-worker run's.
 """
 
 from __future__ import annotations

@@ -255,7 +255,7 @@ class Crawler:
 
         ``rng`` and ``breaker`` override the crawler's shared backoff
         rng and per-registered-domain breaker for this one visit.  The
-        shared-nothing executor (:mod:`repro.parallel.survey`) passes a
+        shared-nothing executor (:mod:`repro.parallel.scheduler`) passes a
         per-target derived rng and a fresh breaker so the visit's
         result is independent of every other target's execution, plus
         the unit's global index as ``unit`` — recorded as a span

@@ -15,6 +15,7 @@ the one artifact exempt from the byte-identity contract.
 
 import io
 import json
+import os
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.history.generator import generate_history
 from repro.measurement.stats import section51_headline
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.reporting.tables import render_crawl_health
-from repro.state import Checkpoint
+from repro.state import Checkpoint, lease_log_path
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
 from repro.web.crawlstate import snapshot_outcome
 
@@ -65,6 +66,8 @@ def _crash_then_resume(history, path, at_step, torn=False):
                 run_survey(history, _CONFIG, checkpoint=checkpoint)
     finally:
         checkpoint.close()
+    # The default one-worker run is inline: no workers, no lease log.
+    assert not os.path.exists(lease_log_path(path))
     resumed = Checkpoint.resume(path)
     assert resumed.resumed
     assert resumed.truncated_tail == torn

@@ -1,13 +1,14 @@
 """Acceptance: ``--workers N`` output is byte-identical for every N.
 
-The shared-nothing executor's contract (see ``docs/PERFORMANCE.md``) is
-that worker count is an execution detail, never a result parameter:
-outcome projections, rendered crawl-health tables, metric exports, and
-the checkpoint journal itself must come out byte-for-byte the same for
+The survey executor's contract (see ``docs/PERFORMANCE.md``) is that
+worker count is an execution detail, never a result parameter: outcome
+projections, rendered crawl-health tables, metric exports, and the
+checkpoint journal itself must come out byte-for-byte the same for
 ``--workers 1``, ``2``, and ``8`` — including when a crashed run is
 resumed under a *different* worker count than it started with.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -16,13 +17,14 @@ import pytest
 
 from repro.cli import main
 from repro.measurement.stats import section51_headline
-from repro.measurement.survey import SurveyConfig, run_survey
+from repro.measurement.survey import (SurveyConfig, _survey_fingerprint,
+                                      run_survey)
 from repro.obs import (JsonLinesExporter, MetricsRegistry, Tracer, observe,
                        span_records)
+from repro.parallel.scheduler import list_shard_journals
 from repro.parallel.supervisor import WorkerCrashInjector
-from repro.parallel.survey import list_shard_journals
 from repro.reporting.tables import render_crawl_health
-from repro.state import Checkpoint, CheckpointError, lease_log_path
+from repro.state import Checkpoint, lease_log_path
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
 from repro.web.crawlstate import snapshot_outcome
 
@@ -31,13 +33,15 @@ from repro.web.crawlstate import snapshot_outcome
 _BASE = dict(top_n=20, stratum_size=5, fault_rate=0.3, fault_seed=7)
 
 
-def _config(workers):
-    return SurveyConfig(**_BASE, workers=workers)
+def _config(workers, **overrides):
+    return SurveyConfig(**_BASE, workers=workers, **overrides)
 
 
-def _steal_config(workers, **overrides):
-    return SurveyConfig(**_BASE, workers=workers, scheduler="steal",
-                        **overrides)
+#: SHA-256 of ``_canonical`` for the unfaulted 20/5 survey as the
+#: retired serial loop produced it; with no faults there is no jitter
+#: to draw, so the shared-nothing executor must reproduce it exactly.
+_ZERO_FAULT_DIGEST = (
+    "d3dcd5e9540ff1b7230f7bc96599b44f6ca71c329fdb27b6fd4eb39225492478")
 
 
 def _canonical(result) -> str:
@@ -70,13 +74,14 @@ class TestWorkerCountInvariance:
             one_worker_baseline
 
     def test_zero_fault_pool_matches_legacy_serial(self, history):
-        """With no faults there is no jitter to draw, so the pool and the
-        classic serial loop agree exactly."""
-        legacy = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.0)
-        pooled = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.0,
-                              workers=4)
-        assert _canonical(run_survey(history, legacy)) == \
-            _canonical(run_survey(history, pooled))
+        """Unfaulted output at the default and at four workers matches
+        the committed digest of the retired serial loop's output."""
+        for workers in (1, 4):
+            config = SurveyConfig(top_n=20, stratum_size=5,
+                                  fault_rate=0.0, workers=workers)
+            canonical = _canonical(run_survey(history, config))
+            assert hashlib.sha256(canonical.encode()).hexdigest() == \
+                _ZERO_FAULT_DIGEST
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_metrics_export_byte_identical(self, history, tmp_path,
@@ -170,12 +175,12 @@ class TestResumeAcrossWorkerCounts:
         finally:
             checkpoint.close()
 
-    @pytest.mark.parametrize("at_step", [10, 50])
+    @pytest.mark.parametrize("at_step", [10, 60])
     def test_resume_with_more_workers_identical(
             self, history, one_worker_baseline, tmp_path, at_step):
-        """Crash a one-worker run mid-shard, finish it with eight."""
+        """Crash a two-worker run mid-flush, finish it with eight."""
         path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step, workers=1)
+        self._crash(history, path, at_step, workers=2)
         # The crash interrupted shard journaling, so a leftover shard
         # file must exist for the resume to adopt.
         assert list_shard_journals(path)
@@ -213,61 +218,43 @@ class TestResumeAcrossWorkerCounts:
     def test_corrupt_shard_journal_is_discarded_and_recrawled(
             self, history, one_worker_baseline, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step=10, workers=1)
-        shard_path, = list_shard_journals(path)
-        with open(shard_path, "wb") as handle:
-            handle.write(b"\x00 garbage, not a journal \x00")
+        self._crash(history, path, at_step=10, workers=2)
+        shard_paths = list_shard_journals(path)
+        assert shard_paths
+        for shard_path in shard_paths:
+            with open(shard_path, "wb") as handle:
+                handle.write(b"\x00 garbage, not a journal \x00")
         resumed = Checkpoint.resume(path)
         try:
             result = run_survey(history, _config(4), checkpoint=resumed)
         finally:
             resumed.close()
         assert _canonical(result) == one_worker_baseline
-        assert not os.path.exists(shard_path)
-
-    def test_pool_and_legacy_checkpoints_do_not_cross_resume(
-            self, history, tmp_path):
-        """Serial and shared-nothing runs draw jitter differently, so a
-        checkpoint from one must not silently continue as the other."""
-        path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step=10, workers=1)
-        resumed = Checkpoint.resume(path)
-        legacy = SurveyConfig(**_BASE)  # workers=None: classic serial
-        try:
-            with pytest.raises(CheckpointError, match="not be comparable"):
-                run_survey(history, legacy, checkpoint=resumed)
-        finally:
-            resumed.close()
+        assert list_shard_journals(path) == []
 
 
 class TestStealSchedulerInvariance:
-    """The work-stealing scheduler is an interchangeable executor: its
-    results, exports, and finished checkpoints are byte-identical to
-    the round-robin pool's — for any worker count, lease size, and
-    deterministic kill schedule."""
+    """Results, exports, and finished checkpoints of the forked
+    scheduler are byte-identical to the inline one-worker run's — for
+    any worker count, lease size, and deterministic kill schedule."""
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_output_byte_identical(self, history, one_worker_baseline,
                                    workers):
-        assert _canonical(run_survey(history, _steal_config(workers))) \
+        assert _canonical(run_survey(history, _config(workers))) \
             == one_worker_baseline
 
     def test_lease_size_is_an_execution_detail(self, history,
                                                one_worker_baseline):
         assert _canonical(run_survey(
-            history, _steal_config(3, lease_size=1))) == one_worker_baseline
+            history, _config(3, lease_size=1))) == one_worker_baseline
 
     def test_kill_schedule_is_invisible_in_results(
             self, history, one_worker_baseline):
         injector = WorkerCrashInjector(kill_after={0: 2, 2: 5})
         assert _canonical(run_survey(
-            history, _steal_config(4, steal_crash_injector=injector))) \
+            history, _config(4, steal_crash_injector=injector))) \
             == one_worker_baseline
-
-    def test_unknown_scheduler_rejected(self, history):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            run_survey(history, SurveyConfig(**_BASE, workers=2,
-                                             scheduler="gossip"))
 
     def test_checkpoint_journal_byte_identical_across_schedulers(
             self, history, tmp_path):
@@ -284,11 +271,11 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = journal_bytes(_config(1), "shards-w1.ckpt")
-        assert journal_bytes(_steal_config(3), "steal-w3.ckpt") == reference
-        killed = _steal_config(
+        reference = journal_bytes(_config(1), "w1.ckpt")
+        assert journal_bytes(_config(3), "w3.ckpt") == reference
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={1: 2}))
-        assert journal_bytes(killed, "steal-w3-kill.ckpt") == reference
+        assert journal_bytes(killed, "w3-kill.ckpt") == reference
 
     def test_metrics_export_byte_identical_across_schedulers(
             self, history, tmp_path):
@@ -300,11 +287,11 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = export(_config(1), "shards-w1.jsonl")
-        killed = _steal_config(
+        reference = export(_config(1), "w1.jsonl")
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={0: 3}))
-        assert export(_steal_config(3), "steal-w3.jsonl") == reference
-        assert export(killed, "steal-w3-kill.jsonl") == reference
+        assert export(_config(3), "w3.jsonl") == reference
+        assert export(killed, "w3-kill.jsonl") == reference
 
     def test_trace_export_byte_identical_across_schedulers(
             self, history, tmp_path):
@@ -318,11 +305,11 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = trace_bytes(_config(1), "shards-w1.jsonl")
-        killed = _steal_config(
+        reference = trace_bytes(_config(1), "w1.jsonl")
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={1: 4}))
-        assert trace_bytes(_steal_config(3), "steal-w3.jsonl") == reference
-        assert trace_bytes(killed, "steal-w3-kill.jsonl") == reference
+        assert trace_bytes(_config(3), "w3.jsonl") == reference
+        assert trace_bytes(killed, "w3-kill.jsonl") == reference
 
 
 class TestStealResume:
@@ -334,7 +321,7 @@ class TestStealResume:
         try:
             with crashing(CrashInjector(at_step=at_step)):
                 with pytest.raises(SimulatedCrash):
-                    run_survey(history, _steal_config(workers),
+                    run_survey(history, _config(workers),
                                checkpoint=checkpoint)
         finally:
             checkpoint.close()
@@ -349,47 +336,13 @@ class TestStealResume:
         assert os.path.exists(lease_log_path(path))
         resumed = Checkpoint.resume(path)
         try:
-            result = run_survey(history, _steal_config(8),
+            result = run_survey(history, _config(8),
                                 checkpoint=resumed)
         finally:
             resumed.close()
         assert _canonical(result) == one_worker_baseline
         assert list_shard_journals(path) == []
         assert not os.path.exists(lease_log_path(path))
-
-    def test_shards_crash_finishes_under_steal(self, history,
-                                               one_worker_baseline,
-                                               tmp_path):
-        """Both executors share one fingerprint, so a checkpoint can
-        switch scheduler mid-run — and the journal still comes out
-        byte-identical to an uninterrupted run."""
-        uninterrupted = str(tmp_path / "base.ckpt")
-        checkpoint = Checkpoint.start(uninterrupted)
-        try:
-            run_survey(history, _steal_config(2), checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-
-        crashed = str(tmp_path / "crossed.ckpt")
-        checkpoint = Checkpoint.start(crashed)
-        try:
-            with crashing(CrashInjector(at_step=10)):
-                with pytest.raises(SimulatedCrash):
-                    run_survey(history, _config(1),
-                               checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-        resumed = Checkpoint.resume(crashed)
-        try:
-            result = run_survey(history, _steal_config(2),
-                                checkpoint=resumed)
-        finally:
-            resumed.close()
-        assert _canonical(result) == one_worker_baseline
-        with open(uninterrupted, "rb") as handle:
-            expected = handle.read()
-        with open(crashed, "rb") as handle:
-            assert handle.read() == expected
 
 
 class TestCliWorkers:
@@ -414,6 +367,58 @@ class TestCliWorkers:
                             "--checkpoint", path, "--resume")
         assert resumed == f"resuming from checkpoint {path}\n" + first
 
+    def test_default_matches_two_workers_under_faults(self):
+        """The default run is the shared-nothing executor too, so with
+        faults (and so backoff jitter) it still matches ``--workers 2``."""
+        args = (*self.ARGS, "--fault-seed", "7")
+        assert self._run(*args) == self._run(*args, "--workers", "2")
+
+    def test_serial_loop_checkpoint_refused(self, tmp_path):
+        """A survey scope journaled without the ``execution`` marker was
+        written by the retired serial loop, whose backoff jitter cannot
+        be continued shared-nothing: resuming it exits 2."""
+        path = str(tmp_path / "serial.ckpt")
+        config = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.3)
+        legacy = _survey_fingerprint(config, "easylist+whitelist")
+        del legacy["execution"]
+        checkpoint = Checkpoint.start(
+            path, {"command": "survey", "seed": 2015, "fast": True})
+        checkpoint.begin_scope("survey/easylist+whitelist", legacy)
+        checkpoint.close()
+        out = io.StringIO()
+        code = main([*self.ARGS, "--checkpoint", path, "--resume"],
+                    out=out)
+        assert code == 2
+        error = out.getvalue().splitlines()[-1]
+        assert error.startswith("error: ")
+        assert "not be comparable" in error
+
+
+class TestCliExecutorFlags:
+    """Out-of-range executor flags exit 2 before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(args):
+            raise AssertionError("the study started despite a bad flag")
+        monkeypatch.setattr("repro.cli._study", fail)
+
+    def _rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*TestCliWorkers.ARGS, flag, value], out=io.StringIO())
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flag}: must be >=" in error
+
+    def test_zero_workers_rejected(self, capsys):
+        self._rejected(capsys, "--workers", "0")
+
+    def test_zero_lease_size_rejected(self, capsys):
+        self._rejected(capsys, "--lease-size", "0")
+
+    def test_negative_max_worker_restarts_rejected(self, capsys):
+        self._rejected(capsys, "--max-worker-restarts", "-1")
+
 
 class TestCliStealScheduler:
     ARGS = TestCliWorkers.ARGS
@@ -427,23 +432,8 @@ class TestCliStealScheduler:
     def test_steal_flag_output_identical(self):
         serial = self._run(*self.ARGS, "--workers", "1")
         stolen = self._run(*self.ARGS, "--workers", "4",
-                           "--scheduler", "steal", "--lease-size", "2")
+                           "--lease-size", "2")
         assert stolen == serial
-
-    def test_steal_requires_workers(self):
-        out = io.StringIO()
-        code = main(list(self.ARGS) + ["--scheduler", "steal"], out=out)
-        assert code == 2
-        assert "--scheduler steal requires --workers" in out.getvalue()
-
-    def test_cross_scheduler_cli_resume(self, tmp_path):
-        path = str(tmp_path / "cli.ckpt")
-        first = self._run(*self.ARGS, "--workers", "2",
-                          "--checkpoint", path)
-        resumed = self._run(*self.ARGS, "--workers", "4",
-                            "--scheduler", "steal",
-                            "--checkpoint", path, "--resume")
-        assert resumed == f"resuming from checkpoint {path}\n" + first
 
     def test_run_id_ignores_scheduler_placement(self, tmp_path):
         """Two invocations differing only in execution placement share
@@ -453,8 +443,7 @@ class TestCliStealScheduler:
             self._run(*self.ARGS, "--metrics-out", str(path), *extra)
             return path.read_bytes()
 
-        assert metrics_bytes("steal.jsonl", "--workers", "4",
-                             "--scheduler", "steal",
+        assert metrics_bytes("w4.jsonl", "--workers", "4",
                              "--lease-size", "3",
                              "--max-worker-restarts", "9") == \
-            metrics_bytes("shards.jsonl", "--workers", "1")
+            metrics_bytes("default.jsonl")

