@@ -54,6 +54,19 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _fraction(text: str) -> float:
+    """An argparse type accepting floats in [0, 1] (``nan`` rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
@@ -110,16 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("table2", "Table 2: Alexa partitions")
 
     survey = add("survey", "Section 5 site survey (scaled)")
-    survey.add_argument("--top", type=int, default=800,
+    survey.add_argument("--top", type=_positive_int, default=800,
                         help="size of the top group (paper: 5000)")
-    survey.add_argument("--stratum", type=int, default=150,
+    survey.add_argument("--stratum", type=_non_negative_int, default=150,
                         help="per-stratum sample size (paper: 1000)")
-    survey.add_argument("--fault-rate", type=float, default=0.0,
+    survey.add_argument("--fault-rate", type=_fraction, default=0.0,
                         help="fraction of domains given an injected "
                              "fault (0 disables injection)")
     survey.add_argument("--fault-seed", type=int, default=0,
                         help="seed for fault plan + backoff jitter")
-    survey.add_argument("--max-retries", type=int, default=2,
+    survey.add_argument("--max-retries", type=_non_negative_int,
+                        default=2,
                         help="retries per target beyond the first "
                              "attempt")
     survey.add_argument("--workers", type=_positive_int, default=1,

@@ -18,7 +18,6 @@ generated whitelist history, the survey:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,8 +63,9 @@ class SurveyConfig:
 
     ``workers`` is how many processes crawl; it never changes a
     result.  Every target runs *shared-nothing* under
-    :func:`~repro.parallel.scheduler.run_stealing_survey`: it gets a
-    derived rng and a fresh breaker, so outcomes, exports and
+    :func:`~repro.parallel.scheduler.run_stealing_survey`: its backoff
+    jitter is derived from ``fault_seed`` and the target's identity and
+    its simulated clock starts at zero, so outcomes, exports and
     checkpoints are byte-identical for every ``workers`` value.  At the
     default ``workers=1`` targets are crawled inline, with no fork;
     above it they are leased to that many supervised worker processes
@@ -245,18 +245,18 @@ def run_survey(history: "WhitelistHistory",
                               easylist=easylist)
 
         def make_crawler(an_engine: AdblockEngine) -> Crawler:
-            # Each configuration gets its own rng/injector chain seeded
+            # Each configuration gets its own injector seeded
             # identically, so both crawls see the same faults on the same
             # domains and the Figure 6 comparison stays apples-to-apples.
-            rng = random.Random(config.fault_seed)
             injector = None
             if config.fault_rate > 0.0:
-                injector = FaultInjector(
-                    FaultPlan.uniform(config.fault_rate, rng=rng))
+                injector = FaultInjector(FaultPlan.uniform(
+                    config.fault_rate, seed=config.fault_seed))
             return Crawler(an_engine, profile_factory=factory,
                            retry_policy=RetryPolicy(
                                max_attempts=config.max_retries + 1),
-                           fault_injector=injector, rng=rng)
+                           fault_injector=injector,
+                           jitter_seed=config.fault_seed)
 
         if OBS.enabled:
             OBS.registry.gauge("measurement.survey.groups").set(
@@ -275,7 +275,6 @@ def run_survey(history: "WhitelistHistory",
                 surveyed = run_stealing_survey(
                     groups, crawler_factory=crawler_factory,
                     workers=config.workers,
-                    jitter_seed=config.fault_seed,
                     checkpoint=checkpoint,
                     scope=f"survey/{engine_config}",
                     scope_config=_survey_fingerprint(config, engine_config),

@@ -1,18 +1,18 @@
 """Deterministic per-unit RNG derivation for shared-nothing execution.
 
-The serial crawl pipeline threads one ``random.Random`` through every
-target in sequence, so each target's backoff jitter depends on how much
-entropy every *earlier* target consumed.  That coupling is exactly what
-parallel execution cannot reproduce: two workers interleave their
-entropy draws nondeterministically.
+One ``random.Random`` threaded through a crawl would make each target's
+backoff jitter depend on how much entropy every *earlier* target
+consumed — a coupling that parallel execution cannot reproduce, since
+workers interleave their draws nondeterministically.
 
-The shared-nothing executor breaks the coupling by deriving an
-independent RNG for every unit of work from a root seed plus the unit's
-identity (domain, rank, purpose label).  Derivation is a pure function
-— SHA-256 over a canonical encoding of the parts — so any worker, in
-any process, at any time, reconstructs the identical stream for a given
-unit.  Results are therefore byte-identical regardless of worker count
-or scheduling order.
+Instead, every unit of work derives an independent RNG from a root seed
+plus its own identity (purpose label, domain, rank);
+:meth:`repro.web.crawler.Crawler.visit_target` does this for every
+visit.  Derivation is a pure function — SHA-256 over a canonical
+encoding of the parts — so any worker, in any process, at any time,
+reconstructs the identical stream for a given unit.  Results are
+therefore byte-identical regardless of worker count or scheduling
+order.
 """
 
 from __future__ import annotations

@@ -4,15 +4,11 @@
 It flattens a survey's sample groups into one globally ordered unit
 list and executes every unit *shared-nothing*:
 
-* its backoff jitter comes from an RNG derived purely from
-  ``(fault_seed, "crawl-jitter", domain, rank)`` (see
-  :mod:`repro.parallel.rng`), not from a stream shared with earlier
-  targets;
-* it gets a fresh circuit breaker (survey domains are distinct, so no
-  cross-target breaker state is lost);
-* its simulated clock is rewound to zero, so each unit's latency is an
-  exact float sum from ``t=0`` rather than a difference between two
-  large accumulated clock positions;
+* :meth:`~repro.web.crawler.Crawler.visit_target` derives the unit's
+  backoff jitter purely from ``(fault_seed, "crawl-jitter", domain,
+  rank)`` (see :mod:`repro.parallel.rng`) and rewinds its simulated
+  clock to zero, so a unit's outcome and latency never depend on which
+  units ran before it on the same worker;
 * outcomes round-trip through the checkpoint snapshot codec before
   merging, so a live result and a journal-restored one are the same
   object shape down to the byte.
@@ -96,7 +92,6 @@ from repro.obs import (
     Tracer,
 )
 from repro.parallel.leases import LeaseLedger, generate_leases
-from repro.parallel.rng import derive_rng
 from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
 from repro.state.checkpoint import Checkpoint
 from repro.state.journal import JournalError, RunJournal, replay_journal
@@ -104,7 +99,6 @@ from repro.state.leaselog import (LeaseLog, discard_lease_log,
                                   read_lease_strikes)
 from repro.web.crawler import Crawler, CrawlOutcome, CrawlStatus, CrawlTarget
 from repro.web.crawlstate import restore_outcome, snapshot_outcome, unit_key
-from repro.web.resilience import CircuitBreaker
 
 __all__ = [
     "run_stealing_survey",
@@ -240,9 +234,6 @@ def simulate_steal_makespan(latencies: Sequence[float], workers: int,
     return makespan
 
 
-#: Purpose label mixed into every derived per-unit rng seed.
-_JITTER_LABEL = "crawl-jitter"
-
 _SHARD_SUFFIX = ".shard"
 
 
@@ -303,7 +294,7 @@ def adopt_shard_journals(checkpoint: Checkpoint, scope: str) -> int:
 
 def _crawl_units(crawler: Crawler,
                  units: Sequence[tuple[int, str, CrawlTarget]],
-                 *, jitter_seed: int, collect_metrics: bool,
+                 *, collect_metrics: bool,
                  collect_spans: bool, trace_context: tuple[str, int],
                  record_unit: Callable[[int, str, dict], None]) -> list:
     """Crawl ``units`` shared-nothing; return mergeable result tuples.
@@ -324,13 +315,6 @@ def _crawl_units(crawler: Crawler,
     trace_parent, trace_depth = trace_context
     results = []
     for index, group_name, target in units:
-        rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain,
-                         target.rank)
-        breaker = CircuitBreaker()
-        # Latencies are clock *deltas*; rewinding to zero per unit makes
-        # them exact sums from t=0, independent of what earlier units on
-        # this worker consumed (float addition is not associative).
-        crawler.clock.rewind()
         metrics = None
         spans = None
         if OBS.enabled:
@@ -349,9 +333,7 @@ def _crawl_units(crawler: Crawler,
             OBS.tracer = tracer
             OBS.enabled = registry.enabled or tracer.enabled
             try:
-                outcome = crawler.visit_target(target, rng=rng,
-                                               breaker=breaker,
-                                               unit=index)
+                outcome = crawler.visit_target(target, unit=index)
             finally:
                 OBS.registry, OBS.tracer, OBS.enabled = previous
             if collect_metrics:
@@ -359,14 +341,10 @@ def _crawl_units(crawler: Crawler,
             if collect_spans:
                 spans = span_records(tracer)
         else:
-            outcome = crawler.visit_target(target, rng=rng, breaker=breaker)
+            outcome = crawler.visit_target(target)
         key = unit_key(group_name, target)
-        # ``state`` is always empty (shared-nothing units carry no
-        # cross-visit state); it stays so journal bytes keep their
-        # established format.
         payload = {"group": group_name,
-                   "outcome": snapshot_outcome(outcome),
-                   "state": {}}
+                   "outcome": snapshot_outcome(outcome)}
         record_unit(index, key, payload)
         results.append((index, key, payload, metrics, spans))
     return results
@@ -383,12 +361,11 @@ def _poisoned_payload(group_name: str, target: CrawlTarget, *,
                            attempts=threshold, latency_ms=0.0)
     return unit_key(group_name, target), {
         "group": group_name,
-        "outcome": snapshot_outcome(outcome),
-        "state": {}}
+        "outcome": snapshot_outcome(outcome)}
 
 
 def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
-                        workers: int, jitter_seed: int = 0,
+                        workers: int,
                         checkpoint: Checkpoint | None = None,
                         scope: str = "survey",
                         scope_config: dict | None = None,
@@ -403,8 +380,8 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
     """Crawl ``groups`` shared-nothing across ``workers`` processes.
 
     ``crawler_factory`` must build an equivalent crawler on every call
-    (each worker constructs its own); ``jitter_seed`` roots the
-    per-unit rng derivation and should be the survey's ``fault_seed``.
+    (each worker constructs its own); the crawler's ``jitter_seed``
+    roots every unit's jitter derivation.
     With a ``checkpoint``, completed units are restored instead of
     re-crawled and new ones are journaled crash-safely, and a resume
     may change ``workers`` freely.  Returns outcomes per group, in
@@ -550,7 +527,7 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
             results = _crawl_units(
                 crawler,
                 [unit_by_index[index] for index in lease.indices],
-                jitter_seed=jitter_seed, collect_metrics=collect_metrics,
+                collect_metrics=collect_metrics,
                 collect_spans=collect_spans, trace_context=trace_context,
                 record_unit=lambda *_args: None)
             for index, key, payload, metrics, spans in results:
@@ -595,7 +572,6 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                             slot, incarnation, units_done, index))
                     result, = _crawl_units(
                         crawler, [unit_by_index[index]],
-                        jitter_seed=jitter_seed,
                         collect_metrics=collect_metrics,
                         collect_spans=collect_spans,
                         trace_context=trace_context,

@@ -65,7 +65,6 @@ def render_crawl_health(health: "CrawlHealth",
         ("degraded", health.degraded, f"{health.degraded / total:.1%}"),
         ("failed", health.failed, f"{health.failed / total:.1%}"),
         ("retried", health.retried, f"{health.retried / total:.1%}"),
-        ("breaker skips", health.breaker_skips, ""),
         ("attempts total", health.total_attempts, ""),
         ("mean latency (ms)", round(health.mean_latency_ms, 1), ""),
     ]

@@ -57,13 +57,7 @@ from repro.web.http import (
     TruncatedBody,
 )
 from repro.web.resilience import (
-    BreakerRegistry,
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    FetchOutcome,
     OutcomeStatus,
-    ResilientClient,
     RetryPolicy,
     SimulatedClock,
     classify_error,
@@ -95,11 +89,8 @@ __all__ = [
     "blockable_items",
     "render_blockable_items",
     "AdResource",
-    "BreakerRegistry",
-    "BreakerState",
     "BuiltPage",
     "CURL_USER_AGENT",
-    "CircuitBreaker",
     "ConnectTimeout",
     "CookieJar",
     "CrawlHealth",
@@ -109,7 +100,6 @@ __all__ = [
     "CrawlTarget",
     "Crawler",
     "DEFAULT_USER_AGENT",
-    "Deadline",
     "DnsFailure",
     "Document",
     "Element",
@@ -118,7 +108,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "FetchOutcome",
     "Headers",
     "HttpClient",
     "HttpError",
@@ -131,7 +120,6 @@ __all__ = [
     "PageRequest",
     "PageVisit",
     "ReadTimeout",
-    "ResilientClient",
     "RetryPolicy",
     "ServerFault",
     "SimulatedClock",

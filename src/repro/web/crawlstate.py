@@ -17,9 +17,9 @@ blocking/exception filter objects and DOM tree links they drop are
 never consulted after the visit returns, and carrying live filter
 references would tie the journal to engine internals.
 
-No crawler state is journaled: every survey unit runs shared-nothing
-(derived rng, fresh breaker, rewound clock), so there is no cross-visit
-state for a resume to rewind.
+No crawler state is journaled: every visit runs shared-nothing (derived
+rng, rewound clock — see :meth:`~repro.web.crawler.Crawler.visit_target`),
+so there is no cross-visit state for a resume to rewind.
 """
 
 from __future__ import annotations
@@ -128,13 +128,17 @@ def snapshot_outcome(outcome: CrawlOutcome) -> dict:
         "error_class": outcome.error_class,
         "attempts": outcome.attempts,
         "latency_ms": outcome.latency_ms,
-        "breaker_open": outcome.breaker_open,
         "record": record,
     }
 
 
 def restore_outcome(data: dict) -> CrawlOutcome:
-    """Rebuild a :class:`CrawlOutcome` journaled by :func:`snapshot_outcome`."""
+    """Rebuild a :class:`CrawlOutcome` journaled by :func:`snapshot_outcome`.
+
+    Keys the codec no longer writes (``breaker_open``, journaled by
+    crawlers that had a circuit breaker) are ignored, so those journals
+    still resume.
+    """
     from repro.web.browser import PageVisit
 
     target = _restore_target(data["target"])
@@ -159,7 +163,6 @@ def restore_outcome(data: dict) -> CrawlOutcome:
         error_class=data["error_class"],
         attempts=data["attempts"],
         latency_ms=data["latency_ms"],
-        breaker_open=data["breaker_open"],
     )
 
 

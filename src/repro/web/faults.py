@@ -16,17 +16,16 @@ scale and every run is reproducible:
   domain exhibits.  Decisions are pure functions of ``(seed, domain)``
   — independent of visit order — so two runs with the same seed see
   identical fault sequences no matter how the crawl is scheduled.
-* :class:`FaultInjector` applies a plan to live traffic: it wraps a
-  server :data:`~repro.web.http.Handler` (or a whole resolver) for the
-  HTTP path, and wraps browser visits via :meth:`FaultInjector.run`.
-  It owns the only mutable state — per-domain flaky countdowns — and a
+* :class:`FaultInjector` applies a plan to browser visits via
+  :meth:`FaultInjector.run`.  It owns the only mutable state —
+  per-domain flaky countdowns — and a
   :class:`~repro.web.resilience.SimulatedClock` it advances by each
   attempt's latency.
 
-All randomness flows from one injectable ``random.Random`` (or a seed
-that creates one): the plan draws a 64-bit salt from it at construction
-and derives every per-domain decision by hashing that salt with the
-domain name.
+A plan's only randomness is a 64-bit salt drawn at construction from
+``random.Random(seed)`` (or an injected ``random.Random``); every
+per-domain decision hashes that salt with the domain name.  Backoff
+jitter is not drawn here: the crawler derives it per visit.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ from typing import Callable, Iterable, TypeVar
 from repro.web.http import (
     ConnectTimeout,
     DnsFailure,
-    Handler,
-    HttpRequest,
-    HttpResponse,
     ReadTimeout,
     ServerFault,
     TooManyRedirects,
@@ -204,7 +200,7 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Applies a :class:`FaultPlan` to server handlers and browser visits.
+    """Applies a :class:`FaultPlan` to browser visits.
 
     The injector is the only stateful piece: it counts attempts per
     domain so FLAKY faults fail their first ``flaky_failures`` attempts
@@ -235,8 +231,6 @@ class FaultInjector:
                 return None
             self._flaky_left[domain] = left - 1
         return fault
-
-    # -- browser-visit path ---------------------------------------------
 
     def run(self, domain: str, fn: Callable[[], _T], *,
             group_index: int = 0) -> _T:
@@ -277,65 +271,3 @@ class FaultInjector:
         # SLOW_RESPONSE: the visit succeeds, just slowly.
         self.clock.advance(latency * fault.slow_factor)
         return fn()
-
-    # -- HTTP path -------------------------------------------------------
-
-    def wrap_handler(self, handler: Handler, domain: str, *,
-                     group_index: int = 0) -> Handler:
-        """Wrap one server handler so it misbehaves per the plan.
-
-        HTTP-level faults differ from the visit path where a status
-        line exists: SERVER_ERROR returns a real 503 response and
-        REDIRECT_LOOP returns a self-redirect (which the hardened
-        client cuts short), instead of raising synthetically.
-        """
-
-        def faulty(request: HttpRequest) -> HttpResponse:
-            fault = self.fault_for_attempt(domain,
-                                           group_index=group_index)
-            latency = self.plan.latency_for(domain)
-            if fault is None:
-                self.clock.advance(latency)
-                return handler(request)
-            kind = fault.kind
-            if kind is FaultKind.DNS_FAILURE:
-                self.clock.advance(_DNS_FAILURE_S)
-                raise DnsFailure(f"injected NXDOMAIN for {domain!r}")
-            if kind in (FaultKind.CONNECT_TIMEOUT, FaultKind.FLAKY):
-                self.clock.advance(_CONNECT_TIMEOUT_S)
-                raise ConnectTimeout(
-                    f"injected connect timeout for {domain!r}")
-            if kind is FaultKind.READ_TIMEOUT:
-                self.clock.advance(_READ_TIMEOUT_S)
-                raise ReadTimeout(f"injected read timeout for {domain!r}")
-            if kind is FaultKind.SERVER_ERROR:
-                self.clock.advance(latency)
-                return HttpResponse(status=503,
-                                    body="injected server error")
-            if kind is FaultKind.TRUNCATED_BODY:
-                self.clock.advance(latency)
-                raise TruncatedBody(
-                    f"injected short read from {domain!r}")
-            if kind is FaultKind.REDIRECT_LOOP:
-                self.clock.advance(latency)
-                return HttpResponse(status=302,
-                                    redirect_to=str(request.url))
-            self.clock.advance(latency * fault.slow_factor)
-            return handler(request)
-
-        return faulty
-
-    def wrap_resolver(
-        self,
-        resolver: Callable[[str], Handler | None],
-    ) -> Callable[[str], Handler | None]:
-        """Wrap a whole resolver: every resolved host gets a faulty
-        handler keyed by its own hostname."""
-
-        def resolve(host: str) -> Handler | None:
-            handler = resolver(host)
-            if handler is None:
-                return None
-            return self.wrap_handler(handler, host)
-
-        return resolve

@@ -28,8 +28,8 @@ from repro.state import Checkpoint, lease_log_path
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
 from repro.web.crawlstate import snapshot_outcome
 
-#: Small but adversarial: 30% injected faults exercise retries, breaker
-#: trips, and rng-consuming backoff around the crash point.
+#: Small but adversarial: 30% injected faults exercise retries and
+#: rng-consuming backoff around the crash point.
 _CONFIG = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.3,
                        fault_seed=7)
 #: 35 targets x 2 engine configs = 70 unit appends + 2 scope appends.

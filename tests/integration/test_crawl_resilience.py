@@ -9,8 +9,6 @@ harness is smoke-invoked so it cannot rot.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.filters.engine import AdblockEngine
@@ -52,10 +50,9 @@ class TestThousandDomainFaultySurvey:
 
     @pytest.fixture(scope="class")
     def outcomes(self):
-        rng = random.Random(2015)
-        injector = FaultInjector(FaultPlan.uniform(0.20, rng=rng))
+        injector = FaultInjector(FaultPlan.uniform(0.20, seed=2015))
         crawler = Crawler(simple_engine(), fault_injector=injector,
-                          rng=rng)
+                          jitter_seed=2015)
         targets = [CrawlTarget(domain=f"survey{i}.com", rank=i + 1,
                                group_index=i % 4)
                    for i in range(1_000)]

@@ -26,6 +26,7 @@ from repro.parallel.supervisor import WorkerCrashInjector
 from repro.reporting.tables import render_crawl_health
 from repro.state import Checkpoint, lease_log_path
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
+from repro.state.journal import RunJournal, replay_journal
 from repro.web.crawlstate import snapshot_outcome
 
 #: Same adversarial shape as the crash-resume suite: 30% injected
@@ -38,10 +39,12 @@ def _config(workers, **overrides):
 
 
 #: SHA-256 of ``_canonical`` for the unfaulted 20/5 survey as the
-#: retired serial loop produced it; with no faults there is no jitter
-#: to draw, so the shared-nothing executor must reproduce it exactly.
+#: retired serial loop produced it, minus the ``breaker_open`` outcome
+#: key and the ``breaker skips`` health row that went with the circuit
+#: breaker; with no faults there is no jitter to draw, so the
+#: shared-nothing executor must reproduce it exactly.
 _ZERO_FAULT_DIGEST = (
-    "d3dcd5e9540ff1b7230f7bc96599b44f6ca71c329fdb27b6fd4eb39225492478")
+    "d501a340fbd7303066ed28f113bfe8846cdd3d09e62ff8933d01ad02aca07646")
 
 
 def _canonical(result) -> str:
@@ -256,7 +259,7 @@ class TestStealSchedulerInvariance:
             history, _config(4, steal_crash_injector=injector))) \
             == one_worker_baseline
 
-    def test_checkpoint_journal_byte_identical_across_schedulers(
+    def test_checkpoint_journal_byte_identical_across_workers_and_kills(
             self, history, tmp_path):
         def journal_bytes(config, name):
             path = str(tmp_path / name)
@@ -277,7 +280,7 @@ class TestStealSchedulerInvariance:
             3, steal_crash_injector=WorkerCrashInjector(kill_after={1: 2}))
         assert journal_bytes(killed, "w3-kill.ckpt") == reference
 
-    def test_metrics_export_byte_identical_across_schedulers(
+    def test_metrics_export_byte_identical_across_workers_and_kills(
             self, history, tmp_path):
         def export(config, name):
             with observe(registry=MetricsRegistry()) as (registry, _):
@@ -293,7 +296,7 @@ class TestStealSchedulerInvariance:
         assert export(_config(3), "w3.jsonl") == reference
         assert export(killed, "w3-kill.jsonl") == reference
 
-    def test_trace_export_byte_identical_across_schedulers(
+    def test_trace_export_byte_identical_across_workers_and_kills(
             self, history, tmp_path):
         def trace_bytes(config, name):
             ticks = iter(range(1_000_000))
@@ -373,6 +376,38 @@ class TestCliWorkers:
         args = (*self.ARGS, "--fault-seed", "7")
         assert self._run(*args) == self._run(*args, "--workers", "2")
 
+    def test_breaker_era_journal_resumes_identically(self, tmp_path):
+        """Unit payloads journaled with the retired always-empty
+        ``state`` key and the circuit breaker's ``breaker_open`` outcome
+        key still resume, to the uninterrupted run's stdout."""
+        uninterrupted = self._run(*self.ARGS)
+        path = str(tmp_path / "breaker-era.ckpt")
+        with crashing(CrashInjector(at_step=1010)):
+            with pytest.raises(SimulatedCrash):
+                main([*self.ARGS, "--checkpoint", path],
+                     out=io.StringIO())
+        records, _truncated = replay_journal(path)
+        journal = RunJournal.create(path, records[0]["meta"])
+        legacy_units = 0
+        for record in records[1:]:
+            body = {k: v for k, v in record.items() if k != "seq"}
+            if body["kind"] == "unit" and body["scope"].startswith(
+                    "survey/"):
+                outcome = dict(body["payload"]["outcome"])
+                record_snapshot = outcome.pop("record")
+                outcome["breaker_open"] = False
+                outcome["record"] = record_snapshot
+                body["payload"] = {**body["payload"], "outcome": outcome,
+                                   "state": {}}
+                legacy_units += 1
+            journal.append(body)
+        journal.close()
+        # The cut landed mid-survey: some units, not all 70.
+        assert 0 < legacy_units < 70
+        resumed = self._run(*self.ARGS, "--checkpoint", path, "--resume")
+        assert resumed == \
+            f"resuming from checkpoint {path}\n" + uninterrupted
+
     def test_serial_loop_checkpoint_refused(self, tmp_path):
         """A survey scope journaled without the ``execution`` marker was
         written by the retired serial loop, whose backoff jitter cannot
@@ -395,7 +430,7 @@ class TestCliWorkers:
 
 
 class TestCliExecutorFlags:
-    """Out-of-range executor flags exit 2 before any work starts."""
+    """Out-of-range survey flags exit 2 before any work starts."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -403,12 +438,12 @@ class TestCliExecutorFlags:
             raise AssertionError("the study started despite a bad flag")
         monkeypatch.setattr("repro.cli._study", fail)
 
-    def _rejected(self, capsys, flag, value):
+    def _rejected(self, capsys, flag, value, message="must be >="):
         with pytest.raises(SystemExit) as excinfo:
             main([*TestCliWorkers.ARGS, flag, value], out=io.StringIO())
         assert excinfo.value.code == 2
         error = capsys.readouterr().err.strip().splitlines()[-1]
-        assert f"argument {flag}: must be >=" in error
+        assert f"argument {flag}: {message}" in error
 
     def test_zero_workers_rejected(self, capsys):
         self._rejected(capsys, "--workers", "0")
@@ -418,6 +453,18 @@ class TestCliExecutorFlags:
 
     def test_negative_max_worker_restarts_rejected(self, capsys):
         self._rejected(capsys, "--max-worker-restarts", "-1")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--top", "0", "must be >= 1"),
+        ("--stratum", "-3", "must be >= 0"),
+        ("--max-retries", "-1", "must be >= 0"),
+        ("--fault-rate", "1.5", "must be between 0 and 1"),
+        ("--fault-rate", "-0.2", "must be between 0 and 1"),
+        ("--fault-rate", "nan", "must be between 0 and 1"),
+    ])
+    def test_out_of_range_survey_flag_rejected(self, capsys, flag, value,
+                                               message):
+        self._rejected(capsys, flag, value, message)
 
 
 class TestCliStealScheduler:

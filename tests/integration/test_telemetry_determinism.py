@@ -14,7 +14,6 @@ kill schedule must be reconstructable from the dumped event ring.
 """
 
 import io
-import random
 
 import pytest
 
@@ -108,12 +107,11 @@ def steal_setup(history):
     profiles = make_profile_factory(history)
 
     def crawler_factory() -> Crawler:
-        rng = random.Random(7)
         return Crawler(engine, profile_factory=profiles,
                        retry_policy=RetryPolicy(max_attempts=3),
                        fault_injector=FaultInjector(
-                           FaultPlan.uniform(0.3, rng=rng)),
-                       rng=rng)
+                           FaultPlan.uniform(0.3, seed=7)),
+                       jitter_seed=7)
 
     return groups, crawler_factory
 
@@ -133,7 +131,7 @@ class TestFlightReconstructsKillSchedule:
         injector = WorkerCrashInjector(kill_after={0: 2})
         with observe(flight=flight):
             run_stealing_survey(groups, crawler_factory=factory,
-                                workers=3, jitter_seed=7, stats=stats,
+                                workers=3, stats=stats,
                                 crash_injector=injector)
             flight.dump(reason="exit")
         assert stats.worker_deaths == 1
@@ -178,7 +176,7 @@ class TestFlightReconstructsKillSchedule:
         flight = FlightRecorder(path=path, run_id="clean-run")
         with observe(flight=flight):
             run_stealing_survey(groups, crawler_factory=factory,
-                                workers=2, jitter_seed=7)
+                                workers=2)
             flight.dump(reason="exit")
         text = run_cli("obs", "flight", path, "--kind", "worker.*")
         body = text.splitlines()[1:]

@@ -17,7 +17,6 @@ from repro.obs import OBS, observe
 from repro.web.crawler import crawl_health
 from repro.web.http import ConnectTimeout
 from repro.web.resilience import (
-    CircuitBreaker,
     RetryPolicy,
     SimulatedClock,
     execute_with_policy,
@@ -218,18 +217,6 @@ class TestResilienceInstrumentation:
             "web.retry.failures{error_class=connect-timeout}"] == 1
         assert flat["web.retry.backoff_sleeps"] == 1
         assert flat["web.retry.backoff_delay_ms.count"] == 1
-
-    def test_breaker_transition_counters(self):
-        with observe() as (registry, _):
-            breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0)
-            breaker.record_failure(0.0)       # -> open
-            assert not breaker.allow(1.0)     # still open, no transition
-            assert breaker.allow(10.0)        # -> half-open probe
-            breaker.record_success()          # -> closed
-        flat = registry.flat()
-        assert flat["web.breaker.transitions{to=open}"] == 1
-        assert flat["web.breaker.transitions{to=half-open}"] == 1
-        assert flat["web.breaker.transitions{to=closed}"] == 1
 
 
 class TestCrawlHealthSnapshot:

@@ -10,7 +10,6 @@ retired, as an explicit quarantined outcome.
 import json
 import multiprocessing
 import os
-import random
 
 import pytest
 
@@ -153,12 +152,11 @@ def steal_setup(history):
     profiles = make_profile_factory(history)
 
     def crawler_factory() -> Crawler:
-        rng = random.Random(7)
         return Crawler(engine, profile_factory=profiles,
                        retry_policy=RetryPolicy(max_attempts=3),
                        fault_injector=FaultInjector(
-                           FaultPlan.uniform(0.3, rng=rng)),
-                       rng=rng)
+                           FaultPlan.uniform(0.3, seed=7)),
+                       jitter_seed=7)
 
     return groups, crawler_factory
 
@@ -168,14 +166,14 @@ def reference(steal_setup):
     """The one-worker (inline) result every kill schedule must match."""
     groups, factory = steal_setup
     return _snap(run_stealing_survey(groups, crawler_factory=factory,
-                                     workers=1, jitter_seed=7))
+                                     workers=1))
 
 
 def _run(steal_setup, **kwargs):
     groups, factory = steal_setup
     stats = StealStats()
     surveyed = run_stealing_survey(groups, crawler_factory=factory,
-                                   jitter_seed=7, stats=stats, **kwargs)
+                                   stats=stats, **kwargs)
     return surveyed, stats
 
 
@@ -282,7 +280,7 @@ class TestStrikePersistence:
             with crashing(CrashInjector(at_step=30)):
                 with pytest.raises(SimulatedCrash):
                     run_stealing_survey(groups, crawler_factory=factory,
-                                        workers=2, jitter_seed=7,
+                                        workers=2,
                                         checkpoint=checkpoint,
                                         crash_injector=injector)
         finally:
@@ -294,7 +292,7 @@ class TestStrikePersistence:
         stats = StealStats()
         try:
             surveyed = run_stealing_survey(groups, crawler_factory=factory,
-                                           workers=2, jitter_seed=7,
+                                           workers=2,
                                            checkpoint=resumed, stats=stats)
         finally:
             resumed.close()

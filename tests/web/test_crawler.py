@@ -1,11 +1,11 @@
 """Unit tests for the survey crawler."""
 
-import random
-
 import pytest
 
 from repro.filters.engine import AdblockEngine
 from repro.filters.filterlist import parse_filter_list
+from repro.measurement.samples import SampleGroup
+from repro.parallel.scheduler import run_stealing_survey
 from repro.web.crawler import (
     Crawler,
     CrawlStatus,
@@ -13,6 +13,7 @@ from repro.web.crawler import (
     crawl,
     crawl_health,
 )
+from repro.web.crawlstate import snapshot_outcome
 from repro.web.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.web.resilience import RetryPolicy
 from repro.web.sites import SiteProfile
@@ -191,35 +192,20 @@ class TestResilientSurvey:
         assert health.failure_counts == {"dns": len(TARGETS)}
         assert health.success_fraction == 0.0
 
-    def test_breaker_opens_for_repeat_offender(self):
-        # Same registered domain hammered repeatedly with hard faults
-        # trips its circuit; later targets are skipped, not retried.
-        targets = [CrawlTarget(domain="dead.com", rank=i + 1)
-                   for i in range(6)]
-        crawler = Crawler(engine_with("||adzerk.net^"),
-                          retry_policy=RetryPolicy(max_attempts=2),
-                          fault_injector=dns_only_injector())
-        outcomes = crawler.survey(targets)
-        skipped = [o for o in outcomes if o.breaker_open]
-        assert skipped, "circuit never opened"
-        assert all(o.attempts == 0 for o in skipped)
-        assert all(o.error_class == "circuit-open" for o in skipped)
-
 
 class TestDeterminism:
     """Satellite: same seed -> identical CrawlOutcome sequences."""
 
     @staticmethod
     def run_once(seed):
-        rng = random.Random(seed)
-        injector = FaultInjector(FaultPlan.uniform(0.5, rng=rng))
+        injector = FaultInjector(FaultPlan.uniform(0.5, seed=seed))
         crawler = Crawler(engine_with("||adzerk.net^"),
-                          fault_injector=injector, rng=rng)
+                          fault_injector=injector, jitter_seed=seed)
         targets = [CrawlTarget(domain=f"site{i}.com", rank=i + 1,
                                group_index=i % 4)
                    for i in range(120)]
         return [(o.domain, o.status, o.error_class, o.attempts,
-                 round(o.latency_ms, 9), o.breaker_open)
+                 round(o.latency_ms, 9))
                 for o in crawler.survey(targets)]
 
     def test_same_seed_identical_outcomes(self):
@@ -227,3 +213,28 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert self.run_once(7) != self.run_once(8)
+
+    def test_survey_matches_executor_under_faults(self):
+        """A crawler surveying targets in one loop gives the executor's
+        per-target outcomes: every visit derives its own jitter and
+        starts its clock at zero, wherever and after whatever it runs."""
+        engine = engine_with("||adzerk.net^")
+
+        def make_crawler() -> Crawler:
+            return Crawler(engine,
+                           fault_injector=FaultInjector(
+                               FaultPlan.uniform(0.5, seed=7)),
+                           jitter_seed=7)
+
+        targets = tuple(CrawlTarget(domain=f"site{i}.com", rank=i + 1,
+                                    group_index=i % 4)
+                        for i in range(120))
+        looped = [snapshot_outcome(o)
+                  for o in make_crawler().survey(targets)]
+        executed = run_stealing_survey(
+            [SampleGroup(name="all", group_index=0, targets=targets)],
+            crawler_factory=make_crawler, workers=1)["all"]
+        assert [snapshot_outcome(o) for o in executed] == looped
+        # Retries happened, so backoff jitter was actually drawn.
+        assert any(o["attempts"] > 1 and o["record"] is not None
+                   for o in looped)
