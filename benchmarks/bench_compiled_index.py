@@ -6,9 +6,9 @@ index (:mod:`repro.filters.compiled`) is >= 10x faster than the legacy
 ``FilterIndex.candidates`` generator — with byte-identical candidate
 sequences and verdicts — because the compiled probe replaces per-call
 regex tokenisation with one C-level byte pass and replaces generator
-resumption per candidate with prebuilt tuples.
+resumption per candidate with bucket tuples chained lazily.
 
-Three sections land in the JSON artifact
+Four sections land in the JSON artifact
 (``BENCH_compiled_index.json``, or ``BENCH_compiled_index_quick.json``
 under ``BENCH_QUICK=1``):
 
@@ -21,6 +21,11 @@ under ``BENCH_QUICK=1``):
   the match_all consumption shape.
 * ``artifact`` — serialize / parse+attach / fresh-build timings for
   the snapshot artifact, plus its size.
+* ``work`` — deterministic work counts over the corpus: candidates per
+  untyped probe (the legacy sequence) and per typed probe (each URL
+  probed once per request content type in :data:`_WORK_TYPES`), i.e.
+  the ``matches()`` calls ``match_all`` makes.  CI gates on it at
+  tolerance 0.0.
 
 ``verdict_mismatches`` counts probes where the two paths disagreed on
 either the candidate sequence or ``match_all``; the benchmark asserts
@@ -103,6 +108,13 @@ def _build_corpus(legacy: FilterIndex) -> list[str]:
     return corpus
 
 
+#: The request content types a page load issues (documents and
+#: element hiding are probed per page, not per request).
+_WORK_TYPES = (ContentType.SCRIPT, ContentType.IMAGE,
+               ContentType.STYLESHEET, ContentType.XMLHTTPREQUEST,
+               ContentType.SUBDOCUMENT, ContentType.OTHER)
+
+
 def _best_of(fn, repeats: int = _PROBE_REPEATS) -> float:
     return min(fn() for _ in range(repeats))
 
@@ -166,6 +178,17 @@ def measure_iterate(legacy, compiled, corpus) -> dict:
     }
 
 
+def measure_work(compiled, corpus) -> dict:
+    untyped = sum(len(compiled.candidates(url)) for url in corpus)
+    typed = sum(len(compiled.candidates(url, content_type))
+                for url in corpus for content_type in _WORK_TYPES)
+    return {
+        "untyped_per_probe": round(untyped / len(corpus), 3),
+        "typed_per_probe": round(typed / (len(corpus) * len(_WORK_TYPES)),
+                                 3),
+    }
+
+
 def count_mismatches(legacy, compiled, corpus) -> int:
     mismatches = 0
     for url in corpus:
@@ -224,6 +247,7 @@ def test_compiled_index_benchmark():
     produce = measure_produce(legacy, compiled, corpus)
     iterate = measure_iterate(legacy, compiled, corpus)
     artifact = measure_artifact(snapshot, lists)
+    work = measure_work(compiled, corpus)
 
     payload = {
         "benchmark": "compiled_index",
@@ -241,6 +265,7 @@ def test_compiled_index_benchmark():
         "iterate": iterate,
         "verdict_mismatches": mismatches,
         "artifact": artifact,
+        "work": work,
     }
     with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -254,6 +279,8 @@ def test_compiled_index_benchmark():
         f"{produce['speedup_vs_cold']}x)\n"
         f"iterate {iterate['legacy_us']}us -> {iterate['compiled_us']}us "
         f"= {iterate['speedup']}x; verdict mismatches: {mismatches}\n"
+        f"candidates per probe: {work['untyped_per_probe']} untyped, "
+        f"{work['typed_per_probe']} typed\n"
         f"artifact {artifact['bytes']:,} B: save {artifact['save_ms']}ms, "
         f"load {artifact['load_ms']}ms vs fresh build "
         f"{artifact['fresh_build_ms']}ms = {artifact['load_speedup']}x\n"

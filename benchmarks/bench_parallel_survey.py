@@ -84,10 +84,10 @@ def _legacy_engine_emulation():
         compiled.regex  # force the eager re.compile the old code paid
         return compiled
 
-    def legacy_candidates(self, url):
+    def legacy_candidates(self, url, content_type=None):
         # The pre-compiled probe: regex tokenisation per call, dedup
         # via a per-probe seen-set, one generator resumption per
-        # candidate filter.
+        # candidate filter, every filter of every content type.
         seen = set()
         raw = self._raw
         for word in index_mod._URL_KEYWORD_RE.findall(url.lower()):

@@ -67,7 +67,14 @@ def _fraction(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(*, defaults: bool) -> argparse.ArgumentParser:
+    """The flags every subcommand accepts, as an argparse parent.
+
+    The top-level parser gets them with their defaults; each subparser
+    gets them with ``argparse.SUPPRESS``, so a flag given before the
+    subcommand (``repro --seed 1 survey``) is not reset to its default
+    when the subparser runs.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
     common.add_argument("--fast", action="store_true",
@@ -107,15 +114,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume from an existing --checkpoint "
                              "journal instead of starting over (safe "
                              "when the journal does not exist yet)")
+    if not defaults:
+        for action in common._actions:
+            action.default = argparse.SUPPRESS
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
+    sub_common = _common_flags(defaults=False)
     parser = argparse.ArgumentParser(
-        prog="repro", parents=[common],
+        prog="repro", parents=[_common_flags(defaults=True)],
         description="Reproduction of 'Measuring the Impact and "
                     "Perception of Acceptable Advertisements' (IMC'15)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        return sub.add_parser(name, help=help_text, parents=[sub_common])
 
     add("table1", "Table 1: yearly whitelist activity")
     add("growth", "Figure 3: whitelist growth curve")

@@ -2,8 +2,9 @@
 
 Three modules, one pipeline: :mod:`~repro.filters.compiled.automaton`
 packs the index's keyword set into flat Aho-Corasick tables,
-:mod:`~repro.filters.compiled.index` wraps them (plus prebuilt bucket
-tuples) as the frozen engine's probe structure, and
+:mod:`~repro.filters.compiled.index` wraps them (plus per-content-type
+bucket partitions and a literal-gated fallback) as the frozen engine's
+probe structure, and
 :mod:`~repro.filters.compiled.artifact` serializes the whole thing as a
 versioned, CRC-checksummed artifact that
 :class:`~repro.state.snapshots.SnapshotStore` keys by epoch + content

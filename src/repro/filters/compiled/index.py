@@ -3,53 +3,71 @@
 ``FilterIndex`` is the mutable build-time structure: it chooses keywords
 as filters arrive and grows dict buckets.  Once an engine freezes
 (:meth:`repro.filters.engine.AdblockEngine.freeze`), the index is
-compiled into this read-only form, which fixes the PR-4 hot path's two
-remaining costs:
+compiled into this read-only form, which hands the matcher as few
+filters as it can without ever dropping one that could match:
 
-* **per-probe tokenisation** — the legacy path ran a regex over every
-  URL (memoised in an 8192-entry ``lru_cache`` that forked workers had
-  to re-warm and that thrashes once the survey's working set exceeds
-  it).  The compiled probe is a single pass over the URL bytes with
-  C-level primitives: one 256-byte ``translate`` (lowercase + collapse
-  separators), one ``split``, one ``set.intersection`` against the
-  keyword set.  No cache, nothing to warm after ``fork``.
-* **per-candidate generator machinery** — ``candidates()`` was a
-  generator resuming once per yielded filter, which dominates when the
-  fallback bucket is large (the synthetic EasyList routes ~25% of its
-  filters there).  The compiled index returns *prebuilt tuples*:
-  the zero-hit answer is one shared ``fallback`` tuple, a single-hit
-  answer is the bucket's precomputed ``bucket + fallback`` tuple.
+* **one C-level token pass** — the probe lowercases and splits the URL
+  bytes with one 256-byte ``translate`` and one ``split``, then
+  intersects the tokens with the keyword set.  No regex tokeniser, no
+  cache, nothing to warm after ``fork``.
+* **per-content-type partitions** — every request is matched for one
+  :class:`~repro.filters.options.ContentType`, and a filter whose type
+  mask lacks that bit can never match it.  At construction the index
+  splits every bucket and the fallback once per content type (a bucket
+  whose filters all carry the bit is shared, not copied), so a typed
+  probe never offers the matcher a filter of the wrong type.
+* **an exact literal gate on the fallback** — a fallback filter whose
+  raw ``/.../`` regex is a plain ASCII literal (``/pop-zone-2/``) can
+  only match a URL that contains that literal.  For ASCII URLs the typed
+  fallback keeps such a filter only when its (case-folded, unless
+  ``$match-case``) literal occurs in the (lowercased) URL, which is
+  exactly when its regex matches.  Non-ASCII URLs skip the gate, since
+  ``IGNORECASE`` folds some non-ASCII code points onto ASCII letters.
 
-The candidate *sequence* is byte-identical to the legacy index's:
-distinct URL tokens in first-occurrence order select buckets (bucket
-contents in insertion order), then the fallback bucket, always, last —
-the never-filter-out-a-match guarantee is untouched.  The
-differential-fuzz suite (``tests/filters/test_compiled_fuzz.py``) holds
-this equivalence against both the legacy index and the packed
-:class:`~repro.filters.compiled.automaton.KeywordAutomaton`, which is
-compiled alongside as the index's serialized identity and reference
-matcher.
+The candidate *order* is the legacy index's: distinct URL tokens in
+first-occurrence order select buckets (bucket contents in insertion
+order), then the fallback, always last.  A typed probe yields a
+subsequence of the untyped one that still holds every filter that
+matches; ``candidates(url)`` without a content type is exactly the
+legacy sequence, which the differential-fuzz suite
+(``tests/filters/test_compiled_fuzz.py``) holds against both the
+legacy index and the packed
+:class:`~repro.filters.compiled.automaton.KeywordAutomaton`, compiled
+alongside as the index's serialized identity and reference matcher.
+``tests/filters/test_typed_candidates.py`` holds the typed
+``match_all``/``match_first`` against a linear scan of every filter.
 
 Non-ASCII URLs take a conservative detour through the legacy string
 tokeniser: ``str.lower()`` can fold non-ASCII code points *into* ASCII
-(``'K'.lower() == 'k'``), so byte-level lowercasing of such URLs
+(``'K'.lower() == 'k'``), so byte-level lowercasing of such URLs
 could miss a bucket and break the completeness guarantee.
 
 >>> from repro.filters.index import FilterIndex
 >>> from repro.filters.parser import parse_filter
->>> legacy = FilterIndex([parse_filter("||adzerk.net^"),
-...                       parse_filter("/banner[0-9]+/")])
+>>> legacy = FilterIndex([parse_filter("||adzerk.net^$script"),
+...                       parse_filter("/banner[0-9]+/"),
+...                       parse_filter("/pop-zone/$image")])
 >>> compiled = CompiledFilterIndex.compile(legacy)
 >>> [f.text for f in compiled.candidates("http://adzerk.net/x")]
-['||adzerk.net^', '/banner[0-9]+/']
->>> [f.text for f in compiled.candidates("http://example.com/page")]
+['||adzerk.net^$script', '/banner[0-9]+/', '/pop-zone/$image']
+>>> [f.text for f in compiled.candidates("http://adzerk.net/x",
+...                                      ContentType.IMAGE)]
 ['/banner[0-9]+/']
+>>> [f.text for f in compiled.candidates("http://x.example/POP-ZONE/",
+...                                      ContentType.IMAGE)]
+['/banner[0-9]+/', '/pop-zone/$image']
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterator, Sequence
+
+try:
+    from re import _parser as sre_parse      # Python >= 3.11
+except ImportError:                          # pragma: no cover - 3.10
+    import sre_parse
 
 from repro.filters.compiled.automaton import TOKEN_TABLE, KeywordAutomaton
 from repro.filters.index import FilterIndex, _url_tokens
@@ -59,45 +77,167 @@ from repro.obs import OBS
 
 __all__ = ["CompiledFilterIndex"]
 
+#: Characters that make a regex more than a run of ``LITERAL`` ops
+#: (``sre_parse.SPECIAL_CHARS``); a source free of them is a literal.
+_REGEX_SPECIAL = re.compile(r"[.\\\[{()*+?^$|]")
+
+#: The single-bit content types a partition is built for.
+_TYPE_BITS: tuple[int, ...] = tuple(int(member) for member in ContentType)
+
 
 class _MultiCandidates:
     """A reusable, lazily chained multi-bucket candidate sequence.
 
-    The fallback bucket routinely holds hundreds of filters, so
-    materialising ``bucket + bucket + fallback`` into a list would copy
-    hundreds of pointers per multi-hit probe.  This object keeps the
-    (two or three) hit buckets plus the fallback as a tuple of tuples
-    and iterates them back-to-back with C-level ``chain`` iteration —
-    each ``__iter__`` call yields a fresh iterator, so callers may
-    re-iterate it just like the prebuilt single-hit tuples.
+    The fallback bucket can hold hundreds of filters, so materialising
+    ``bucket + fallback`` into a tuple would copy hundreds of pointers
+    per probe.  This object keeps the hit buckets plus the fallback as
+    a tuple of tuples and iterates them back-to-back with C-level
+    ``chain`` iteration — each ``__iter__`` call yields a fresh
+    iterator, so callers may re-iterate it like a tuple.
     """
 
-    __slots__ = ("_parts", "_length")
+    __slots__ = ("_parts",)
 
     def __init__(self, parts: tuple[tuple[RequestFilter, ...], ...]) -> None:
         self._parts = parts
-        self._length = sum(map(len, parts))
 
     def __iter__(self) -> Iterator[RequestFilter]:
         return chain.from_iterable(self._parts)
 
     def __len__(self) -> int:
-        return self._length
+        return sum(map(len, self._parts))
+
+
+def _literal_needle(flt: RequestFilter) -> tuple[str, bool] | None:
+    """``(needle, folded)`` when ``flt``'s regex is one ASCII literal.
+
+    A raw ``/.../`` pattern that parses to ``LITERAL`` ops only matches
+    a URL exactly when the literal is a substring of it.  ``folded``
+    says the regex ignores case: the needle is then lowercased and must
+    be looked up in the lowercased URL (exact for ASCII URLs only).
+    """
+    pattern = flt.pattern
+    if pattern is None or not pattern.is_regex:
+        return None
+    regex = pattern.regex
+    needle = regex.pattern
+    if _REGEX_SPECIAL.search(needle) is not None:
+        # Escapes (``/ads\.js/``) can still be literals; ask the
+        # regex parser itself.
+        ops = sre_parse.parse(needle, regex.flags)
+        if any(op is not sre_parse.LITERAL for op, _ in ops):
+            return None
+        needle = "".join(chr(arg) for _, arg in ops)
+    if not needle.isascii():
+        return None
+    folded = bool(regex.flags & re.IGNORECASE)
+    return (needle.lower() if folded else needle), folded
+
+
+class _Partition:
+    """The filters of one content type: buckets, fallback, gate.
+
+    ``buckets`` maps each keyword whose bucket holds a filter of this
+    type to those filters (in bucket order); ``tail`` is the fallback's
+    filters of this type.  ``gate`` is ``None`` when no filter in
+    ``tail`` has a literal needle; otherwise it lists ``(needle,
+    folded, filter)`` for every filter of ``tail`` in order, with an
+    empty needle (always present) for the ungated ones.
+    """
+
+    __slots__ = ("buckets", "tail", "gate")
+
+    def __init__(self, buckets: dict[bytes, tuple[RequestFilter, ...]],
+                 tail: tuple[RequestFilter, ...],
+                 gate: tuple[tuple[str, bool, RequestFilter], ...] | None
+                 ) -> None:
+        self.buckets = buckets
+        self.tail = tail
+        self.gate = gate
+
+    def tail_for(self, url: str, ascii_url: bool
+                 ) -> tuple[RequestFilter, ...]:
+        """The fallback filters whose literal gate ``url`` passes."""
+        gate = self.gate
+        if gate is None or not ascii_url:
+            return self.tail
+        lowered = url.lower()
+        return tuple([flt for needle, folded, flt in gate
+                      if needle in (lowered if folded else url)])
+
+
+def _build_partitions(
+    keys: Sequence[bytes],
+    buckets: Sequence[tuple[RequestFilter, ...]],
+    fallback: tuple[RequestFilter, ...],
+) -> dict[int, _Partition]:
+    """One :class:`_Partition` per single-bit content type.
+
+    Each filter's mask is read once.  A bucket whose filters share one
+    mask is reused as-is by every type that mask covers (one C-level
+    ``dict.update`` per mask and type); only mixed buckets are split.
+    """
+    typed: dict[int, dict[bytes, tuple[RequestFilter, ...]]] = {
+        bit: {} for bit in _TYPE_BITS}
+    uniform: dict[int, list[tuple[bytes, tuple[RequestFilter, ...]]]] = {}
+    for key, bucket in zip(keys, buckets):
+        masks = [flt.options.effective_mask_int() for flt in bucket]
+        if not masks:
+            continue
+        if masks.count(masks[0]) == len(masks):
+            uniform.setdefault(masks[0], []).append((key, bucket))
+            continue
+        for bit in _TYPE_BITS:
+            kept = tuple([flt for flt, mask in zip(bucket, masks)
+                          if mask & bit])
+            if kept:
+                typed[bit][key] = (bucket if len(kept) == len(bucket)
+                                   else kept)
+    for mask, pairs in uniform.items():
+        for bit in _TYPE_BITS:
+            if mask & bit:
+                typed[bit].update(pairs)
+
+    fallback_masks = [flt.options.effective_mask_int() for flt in fallback]
+    entries = [(*(_literal_needle(flt) or ("", True)), flt)
+               for flt in fallback]
+    partitions = {}
+    for bit in _TYPE_BITS:
+        gate = tuple(entry for entry, mask in zip(entries, fallback_masks)
+                     if mask & bit)
+        tail = tuple(flt for _, _, flt in gate)
+        gated = any(needle for needle, _, _ in gate)
+        partitions[bit] = _Partition(typed[bit], tail,
+                                     gate if gated else None)
+    return partitions
+
+
+def _sequence(parts: list[tuple[RequestFilter, ...]],
+              tail: tuple[RequestFilter, ...]) -> Sequence[RequestFilter]:
+    """Hit buckets (in probe order) followed by ``tail``."""
+    if not parts:
+        return tail
+    if len(parts) == 1 and not tail:
+        return parts[0]
+    parts.append(tail)
+    return _MultiCandidates(tuple(parts))
 
 
 class CompiledFilterIndex:
-    """Read-only keyword index: packed automaton + prebuilt bucket tuples.
+    """Read-only keyword index: packed automaton + typed partitions.
 
     Construction goes through :meth:`compile` (from a built
-    ``FilterIndex``) or :meth:`from_parts` (the artifact-load path).
-    The probe surface mirrors ``FilterIndex`` — ``candidates``,
-    ``match_first``, ``match_all``, iteration, ``len`` — so engines and
-    sessions use either interchangeably; ``candidates`` returns a
-    reusable sequence rather than a one-shot generator.
+    ``FilterIndex``) or :meth:`from_parts` (the artifact-load path);
+    both build the per-content-type partitions.  The probe surface
+    mirrors ``FilterIndex`` — ``candidates``, ``match_first``,
+    ``match_all``, iteration, ``len`` — so engines and sessions use
+    either interchangeably; ``candidates`` returns a reusable sequence
+    rather than a one-shot generator.
     """
 
     __slots__ = ("name", "automaton", "_keywords", "_buckets", "_fallback",
-                 "_kwset", "_single", "_raw", "_bucket_of", "_count")
+                 "_raw", "_untyped", "_partitions", "_bucket_of",
+                 "_count")
 
     def __init__(self, *, name: str,
                  keywords: tuple[str, ...],
@@ -112,17 +252,11 @@ class CompiledFilterIndex:
         self._buckets = buckets
         self._fallback = fallback
         encoded = [keyword.encode("ascii") for keyword in keywords]
-        # A plain set (not frozenset): ``set.intersection`` then returns
-        # a mutable set the multi-hit assembler can drain in place.
-        self._kwset = set(encoded)
-        # Single-hit probes (the overwhelmingly common non-empty case)
-        # return one precomputed ``bucket + fallback`` tuple: memory is
-        # O(buckets x fallback) pointers, traded for zero per-probe
-        # concatenation.  ``_raw`` keeps the bare buckets for the rare
-        # multi-hit assembly.
-        self._single = {token: bucket + fallback
-                        for token, bucket in zip(encoded, buckets)}
         self._raw = dict(zip(encoded, buckets))
+        # Content types absent from ``_partitions`` (``None``, composite
+        # masks) probe every bucket and the whole fallback.
+        self._untyped = _Partition(self._raw, fallback, None)
+        self._partitions = _build_partitions(encoded, buckets, fallback)
         self._bucket_of = {id(flt): kid
                            for kid, bucket in enumerate(buckets)
                            for flt in bucket}
@@ -204,87 +338,79 @@ class CompiledFilterIndex:
 
     # -- probing -------------------------------------------------------
 
-    def candidates(self, url: str) -> Sequence[RequestFilter]:
+    def candidates(self, url: str, content_type: ContentType | None = None
+                   ) -> Sequence[RequestFilter]:
         """Candidate filters for ``url``, as a reusable sequence.
 
-        Same completeness guarantee and same ordering as
-        :meth:`FilterIndex.candidates`; the zero- and single-hit cases
-        return prebuilt tuples, so callers may iterate them repeatedly
-        without re-probing.
+        Without ``content_type`` (or with a composite mask) this is the
+        legacy :meth:`FilterIndex.candidates` sequence.  With a single
+        content type it is that sequence minus the filters that cannot
+        match a request of that type: filters whose type mask lacks the
+        bit, and gated fallback literals absent from the URL.  Every
+        filter that matches is still yielded, in the same order.
         """
         if OBS.enabled:
-            return self._instrumented_candidates(url)
-        if url.isascii():
+            return self._instrumented_candidates(url, content_type)
+        ascii_url = url.isascii()
+        if ascii_url:
             toks = url.encode("ascii").translate(TOKEN_TABLE).split()
-            hits = self._kwset.intersection(toks)
         else:
-            toks = [token.encode("ascii")
-                    for token in _url_tokens(url)]
-            hits = self._kwset.intersection(toks)
+            toks = [token.encode("ascii") for token in _url_tokens(url)]
+        part = self._partitions.get(content_type, self._untyped)
+        raw = part.buckets
+        tail = part.tail_for(url, ascii_url)
+        hits = raw.keys() & toks
         if not hits:
-            return self._fallback
+            return tail
         if len(hits) == 1:
-            # ``hits`` is a fresh mutable set; pop() beats building an
-            # iterator just to read the lone element.
-            return self._single[hits.pop()]
-        return self._multi_hit(toks, hits)
-
-    def _multi_hit(self, toks: Sequence[bytes],
-                   pending: set[bytes]) -> Sequence[RequestFilter]:
-        """Assemble a multi-bucket answer in first-occurrence order."""
-        parts: list[tuple[RequestFilter, ...]] = []
-        raw = self._raw
+            # ``hits`` is a fresh set; pop() beats building an iterator
+            # just to read the lone element.
+            bucket = raw[hits.pop()]
+            return _MultiCandidates((bucket, tail)) if tail else bucket
+        parts = []
         for token in toks:
-            if token in pending:
-                pending.discard(token)
+            if token in hits:
+                hits.discard(token)
                 parts.append(raw[token])
-                if not pending:
+                if not hits:
                     break
-        parts.append(self._fallback)
-        return _MultiCandidates(tuple(parts))
+        return _sequence(parts, tail)
 
-    def _instrumented_candidates(self, url: str) -> Sequence[RequestFilter]:
+    def _instrumented_candidates(self, url: str,
+                                 content_type: ContentType | None
+                                 ) -> Sequence[RequestFilter]:
         """:meth:`candidates` plus ``filters.index.*`` accounting.
 
-        Probes the *identical* bucket sequence as the fast path (same
-        driver, same ordering); ``bucket_misses`` counts distinct
-        keyword-eligible tokens (length >= 3) absent from the index,
-        and ``automaton_transitions`` counts the symbols the probe
-        drives through the completed automaton — one transition per
-        byte of every distinct token offered.
+        Returns the *identical* sequence as the fast path (same buckets,
+        same order, same fallback gate).  ``bucket_hits`` and
+        ``bucket_misses`` count distinct keyword-eligible tokens
+        (length >= 3) present in / absent from the whole index;
+        ``candidates_yielded`` and ``fallback_scanned`` count the
+        filters the returned sequence actually holds.
         """
-        if url.isascii():
+        ascii_url = url.isascii()
+        if ascii_url:
             raw_tokens = url.encode("ascii").translate(TOKEN_TABLE).split()
             distinct = [token for token in dict.fromkeys(raw_tokens)
                         if len(token) >= 3]
         else:
-            raw_tokens = distinct = [token.encode("ascii")
-                                     for token in _url_tokens(url)]
-        kwset = self._kwset
-        order = [token for token in distinct if token in kwset]
+            distinct = [token.encode("ascii") for token in _url_tokens(url)]
+        part = self._partitions.get(content_type, self._untyped)
+        raw = part.buckets
+        tail = part.tail_for(url, ascii_url)
+        indexed = self._raw
+        hit_count = sum(1 for token in distinct if token in indexed)
+        parts = [raw[token] for token in distinct if token in raw]
         reg = OBS.registry
         reg.counter("filters.index.probes").inc()
-        reg.counter("filters.index.bucket_hits").inc(len(order))
+        reg.counter("filters.index.bucket_hits").inc(hit_count)
         reg.counter("filters.index.bucket_misses").inc(
-            len(distinct) - len(order))
-        reg.counter("filters.index.automaton_transitions").inc(
-            sum(map(len, distinct)))
-        raw = self._raw
-        yielded = sum(len(raw[token]) for token in order)
+            len(distinct) - hit_count)
         reg.counter("filters.index.candidates_yielded").inc(
-            yielded + len(self._fallback))
+            sum(map(len, parts)) + len(tail))
         if self._fallback:
-            reg.counter("filters.index.fallback_scanned").inc(
-                len(self._fallback))
-        if not order:
-            return self._fallback
-        if len(order) == 1:
-            return self._single[order[0]]
-        out: list[RequestFilter] = []
-        for token in order:
-            out.extend(raw[token])
-        out.extend(self._fallback)
-        return out
+            reg.counter("filters.index.fallback_scanned").inc(len(tail))
+        return _sequence(parts, tail)
 
     # -- matching ------------------------------------------------------
 
@@ -298,7 +424,7 @@ class CompiledFilterIndex:
         sitekey: str | None = None,
     ) -> RequestFilter | None:
         """First matching filter, or ``None``."""
-        for flt in self.candidates(url):
+        for flt in self.candidates(url, content_type):
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey):
                 return flt
@@ -316,7 +442,7 @@ class CompiledFilterIndex:
         """Every matching filter (the survey records all activations)."""
         return [
             flt
-            for flt in self.candidates(url)
+            for flt in self.candidates(url, content_type)
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey)
         ]

@@ -275,9 +275,11 @@ class AdblockEngine:
         Freezing is also where the keyword indexes are *compiled*: the
         mutable :class:`FilterIndex` pair becomes a pair of read-only
         :class:`~repro.filters.compiled.index.CompiledFilterIndex`
-        (packed keyword automaton + prebuilt candidate tuples), and the
-        engine rebinds to them so its own probes take the compiled hot
-        path too.  Candidate ordering is preserved byte-for-byte.
+        (packed keyword automaton + per-content-type partitions of the
+        buckets and the literal-gated fallback), and the engine rebinds
+        to them so its own probes take the compiled hot path too.
+        Verdicts, activations and their order are unchanged: a typed
+        probe drops only filters that cannot match the request.
         """
         if self._snapshot is None:
             # Imported here, not at module level: the compiled package's

@@ -38,10 +38,14 @@ see the method docstring for the exact tie-breaking doctest.
 
 ``FilterIndex`` is the *build-time* structure; freezing an engine
 compiles it into the read-only
-:class:`~repro.filters.compiled.index.CompiledFilterIndex` (packed
-keyword automaton, prebuilt candidate tuples), which preserves both
-semantics above byte-for-byte — the differential-fuzz suite holds the
-two implementations equal.
+:class:`~repro.filters.compiled.index.CompiledFilterIndex`, which
+preserves both semantics above byte-for-byte for an untyped probe — the
+differential-fuzz suite holds the two implementations equal — and adds
+a typed probe: per-content-type partitions of every bucket and of the
+fallback, with the fallback's plain-literal regexes gated by a
+substring test, so ``match_all`` offers the matcher only filters that
+can match the request.  This mutable index always yields the whole
+fallback.
 
 When observability is enabled (:mod:`repro.obs`), every probe records
 bucket hit/miss counts and fallback scan sizes under

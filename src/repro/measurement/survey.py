@@ -144,8 +144,8 @@ def build_engines(history: "WhitelistHistory",
     if with_whitelist:
         engine.subscribe(whitelist)
     # Freeze immediately: the survey never re-subscribes, and freezing
-    # compiles the keyword indexes (packed automaton + prebuilt bucket
-    # tuples) so every probe — serial or forked worker — takes the
+    # compiles the keyword indexes (packed automaton + per-content-type
+    # partitions) so every probe — serial or forked worker — takes the
     # compiled hot path.
     engine.freeze()
     return engine, easylist, whitelist

@@ -23,9 +23,9 @@ scale and every run is reproducible:
   attempt's latency.
 
 A plan's only randomness is a 64-bit salt drawn at construction from
-``random.Random(seed)`` (or an injected ``random.Random``); every
-per-domain decision hashes that salt with the domain name.  Backoff
-jitter is not drawn here: the crawler derives it per visit.
+``random.Random(seed)``; every per-domain decision hashes that salt
+with the domain name.  Backoff jitter is not drawn here: the crawler
+derives it per visit.
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ class FaultPlan:
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = (), *,
-                 seed: int = 0, rng: random.Random | None = None) -> None:
-        rng = rng if rng is not None else random.Random(seed)
-        self._salt = rng.getrandbits(64)
+                 seed: int = 0) -> None:
+        self._salt = random.Random(seed).getrandbits(64)
         self.specs = tuple(specs)
         for spec in self.specs:
             if not 0.0 <= spec.rate <= 1.0:
@@ -152,7 +151,6 @@ class FaultPlan:
 
     @classmethod
     def uniform(cls, rate: float, *, seed: int = 0,
-                rng: random.Random | None = None,
                 mix: tuple[tuple[FaultKind, float], ...] = DEFAULT_FAULT_MIX,
                 flaky_failures: int = 2,
                 slow_factor: float = 25.0) -> "FaultPlan":
@@ -164,7 +162,7 @@ class FaultPlan:
                            flaky_failures=flaky_failures,
                            slow_factor=slow_factor)
                  for kind, weight in mix]
-        return cls(specs, seed=seed, rng=rng)
+        return cls(specs, seed=seed)
 
     def _roll(self, domain: str, label: str) -> float:
         """A deterministic uniform [0, 1) draw for (salt, label, domain)."""

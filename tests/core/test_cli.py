@@ -37,6 +37,23 @@ class TestParser:
                                           "--seed", "7"])
         assert args.fast and args.seed == 7
 
+    @pytest.mark.parametrize("flag,value,attr,expected", [
+        ("--seed", "1", "seed", 1),
+        ("--checkpoint", "run.ckpt", "checkpoint", "run.ckpt"),
+        ("--fast", None, "fast", True),
+    ])
+    def test_common_flag_honoured_before_or_after_subcommand(
+            self, flag, value, attr, expected):
+        given = [flag] if value is None else [flag, value]
+        before = build_parser().parse_args(given + ["survey"])
+        after = build_parser().parse_args(["survey"] + given)
+        assert getattr(before, attr) == expected
+        assert getattr(after, attr) == expected
+
+    def test_common_flag_defaults_without_the_flag(self):
+        args = build_parser().parse_args(["survey"])
+        assert (args.seed, args.checkpoint, args.fast) == (2015, None, False)
+
 
 class TestCommands:
     def test_table1(self):

@@ -150,9 +150,15 @@ class TestArtifactFuzz:
             rebuilt = parse_artifact(blob).build_snapshot([flist])
             for url in urls:
                 for name in ("blocking", "exceptions"):
-                    assert (list(getattr(rebuilt, name).candidates(url))
-                            == list(getattr(snapshot, name)
-                                    .candidates(url))), (url, name)
+                    # Untyped, and typed: the artifact-load path builds
+                    # the same content-type partitions as compile().
+                    for content_type in (None, ContentType.IMAGE,
+                                         ContentType.SCRIPT):
+                        assert (list(getattr(rebuilt, name)
+                                     .candidates(url, content_type))
+                                == list(getattr(snapshot, name)
+                                        .candidates(url, content_type))), \
+                            (url, name, content_type)
             # One random bit flip in the body must never go unnoticed.
             corrupt = bytearray(blob)
             corrupt[rng.randrange(len(corrupt))] ^= 0x40

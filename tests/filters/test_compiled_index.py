@@ -131,8 +131,9 @@ class TestCompiledIndexParity:
 
     def test_zero_hit_returns_shared_fallback_tuple(self):
         _, compiled = build_pair()
-        first = compiled.candidates("http://nothing.example/")
-        second = compiled.candidates("http://other.example/")
+        # No token of either URL is a keyword of FILTERS.
+        first = compiled.candidates("http://nothing.test/")
+        second = compiled.candidates("http://other.test/")
         assert first is second            # one shared, reusable tuple
         assert isinstance(first, tuple)
 

@@ -1,7 +1,5 @@
 """Unit tests for deterministic fault injection."""
 
-import random
-
 import pytest
 
 from repro.web.faults import (
@@ -94,8 +92,8 @@ class TestFaultPlan:
             assert 0.05 <= latency <= 0.35
 
     def test_plan_seeded_from_injected_rng(self):
-        a = FaultPlan.uniform(0.4, rng=random.Random(11))
-        b = FaultPlan.uniform(0.4, rng=random.Random(11))
+        a = FaultPlan.uniform(0.4, seed=11)
+        b = FaultPlan.uniform(0.4, seed=11)
         assert [a.fault_for(d) for d in DOMAINS[:200]] == \
             [b.fault_for(d) for d in DOMAINS[:200]]
 
